@@ -8,7 +8,6 @@ failed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,6 @@ from .serialization import (
     load_ann,
     load_snn,
     save_snn,
-    snn_to_dict,
 )
 from .snn_core import finite, network_trace, oracle_firing_time, realize
 

@@ -19,7 +19,7 @@ the time bookkeeping minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -241,6 +241,20 @@ def build_layer_gadget(
     return TypedSNN(net, par.enc)
 
 
+def _share_zero_delays(t: TypedSNN) -> TypedSNN:
+    """Replace each all-zero delay matrix by one zero-stride read-only view.
+
+    Gadget delays are all zero, so this halves a compiled network's memory
+    without changing its realization or its serialized form.
+    """
+    layers = tuple(
+        layer if layer.delays.any()
+        else replace(layer, delays=np.broadcast_to(0.0, layer.delays.shape))
+        for layer in t.net.layers
+    )
+    return TypedSNN(replace(t.net, layers=layers), t.enc)
+
+
 def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]:
     """Compile a ReLU network into a spiking network with equal realization.
 
@@ -271,6 +285,7 @@ def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]
     f = _affine_layer_gadget(A, B, cur_domain, t)
     composed = f if composed is None else concatenate(f, composed, check_range=False)
     refs.append((t, f.enc.t_out_ref))
+    composed = _share_zero_delays(composed)
 
     d = ann.fixed_width
     if d is not None:

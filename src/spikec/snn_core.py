@@ -11,6 +11,7 @@ cross-checked by dense time stepping of P.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -194,8 +195,9 @@ def resolve_firing_time(
     later than the next arrival outside it.  An arrival exactly at the
     candidate time is non-contributing (the strict-inequality convention), so
     a prefix that would split a group of equal arrivals is rejected
-    automatically.  Returns a certificate with Never if no prefix is
-    accepted.
+    automatically.  A candidate that is not finite (the weight sum is too
+    small for theta to be divided by it) is not a crossing.  Returns a
+    certificate with Never if no prefix is accepted.
     """
     if not threshold > 0:
         raise InvalidParameterError("threshold must be positive")
@@ -215,12 +217,12 @@ def resolve_firing_time(
         if wsum <= 0.0:
             continue
         t = (threshold + wasum) / wsum
-        if t <= a:
+        if not math.isfinite(t) or t <= a:
             continue
         if k + 1 < n and t > arrivals[order[k + 1]][0]:
             continue
         cert = ContributionCertificate(frozenset(order[: k + 1]), finite(t))
-        _validate_certificate(cert, arrivals, threshold)
+        _validate_certificate(cert, arrivals, threshold, order)
         return cert
     return ContributionCertificate(frozenset(), NEVER)
 
@@ -229,13 +231,22 @@ def _validate_certificate(
     cert: ContributionCertificate,
     arrivals: Sequence[tuple[float, float]],
     threshold: float,
+    order: Sequence[int] | None = None,
 ) -> None:
-    """Assert the certificate invariants; raises CertificateError on failure."""
+    """Assert the certificate invariants; raises CertificateError on failure.
+
+    Sums run in arrival order (``order``, the stable arrival sort, computed
+    when not given), the order in which the potential accumulates its ramps
+    and :func:`resolve_firing_time` adds them up.
+    """
     t = cert.firing_time.time
     assert t is not None
+    if order is None:
+        order = sorted(range(len(arrivals)), key=lambda i: arrivals[i][0])
     wsum = 0.0
     residual = -threshold
-    for i, (a, w) in enumerate(arrivals):
+    for i in order:
+        a, w = arrivals[i]
         if i in cert.contributing:
             if not a < t:
                 raise CertificateError("contributing arrival not strictly before t")
@@ -245,8 +256,16 @@ def _validate_certificate(
             raise CertificateError("non-contributing arrival strictly before t")
     if not wsum > 0:
         raise CertificateError("contributing weights do not sum to a positive value")
-    if abs(residual) > CERTIFICATE_RTOL * max(1.0, abs(threshold)):
-        raise CertificateError(f"threshold residual too large: {residual!r}")
+    tol = CERTIFICATE_RTOL * max(1.0, abs(threshold))
+    if abs(residual) > tol:
+        # Rounding t and the products moves the residual by up to (2n + 3)
+        # eps times the size of its terms; with weights near 1e300 that
+        # exceeds any fixed tolerance even when t is correctly rounded.
+        scale = sum(abs(arrivals[i][1]) * (abs(t) + abs(arrivals[i][0]))
+                    for i in cert.contributing)
+        tol += (2 * len(cert.contributing) + 3) * sys.float_info.epsilon * scale
+        if abs(residual) > tol:
+            raise CertificateError(f"threshold residual too large: {residual!r}")
 
 
 def oracle_firing_time(
@@ -387,35 +406,57 @@ def realize(net: SpikingNetwork, enc: EncodingSpec, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Most elements a temporary of :func:`layer_forward_batch` holds: the batch
+#: is resolved in chunks of rows sized to it (at least one row per chunk).
+KERNEL_CHUNK_ELEMS = 1 << 15
+
+
 def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
     """Vectorized :func:`layer_forward` over a (batch, fan_in) time array.
 
     Never is represented by NaN in both directions.  Follows exactly the
-    prefix-scan acceptance rule of :func:`resolve_firing_time`.
+    prefix-scan acceptance rule of :func:`resolve_firing_time`, but scans
+    only each output's nonzero-weight synapses: a zero weight adds nothing
+    to the prefix sums, and its arrival only splits a segment whose
+    candidate time it cannot change, so the result is the same bit for bit.
+    Outputs are padded to the widest live column with weight 0 and arrival
+    +inf, all outputs of the layer are resolved at once, and the batch is
+    walked in chunks of rows so that every temporary holds at most
+    KERNEL_CHUNK_ELEMS elements, or one row's worth.
     """
     if times.ndim != 2 or times.shape[1] != layer.fan_in:
         raise DimensionError("batch times must have shape (batch, fan_in)")
-    batch = times.shape[0]
-    out = np.empty((batch, layer.fan_out))
-    rows = np.arange(batch)
-    for j in range(layer.fan_out):
-        arr = times + layer.delays[:, j]
-        arr = np.where(np.isnan(arr), np.inf, arr)
-        order = np.argsort(arr, axis=1, kind="stable")
-        arr_s = np.take_along_axis(arr, order, axis=1)
-        w_s = layer.weights[order, j]
-        finite_mask = np.isfinite(arr_s)
-        wcum = np.cumsum(w_s, axis=1)
-        scum = np.cumsum(w_s * np.where(finite_mask, arr_s, 0.0), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = (layer.thresholds[j] + scum) / wcum
-        nxt = np.concatenate(
-            [arr_s[:, 1:], np.full((batch, 1), np.inf)], axis=1
-        )
-        valid = (wcum > 0) & finite_mask & (cand > arr_s) & (cand <= nxt)
-        has = valid.any(axis=1)
-        first = np.argmax(valid, axis=1)
-        out[:, j] = np.where(has, cand[rows, first], np.nan)
+    batch, fan_out = times.shape[0], layer.fan_out
+    out = np.full((batch, fan_out), np.nan)
+    live = layer.weights != 0
+    counts = live.sum(axis=0)
+    k = int(counts.max(initial=0))
+    if k == 0:
+        return out
+    # Column j's live inputs in input order, then padding: shape (fan_out, k).
+    src = np.argsort(~live, axis=0, kind="stable")[:k].T
+    cols = np.arange(fan_out)[:, None]
+    pad = np.arange(k) >= counts[:, None]
+    w = np.where(pad, 0.0, layer.weights[src, cols])
+    d = np.where(pad, np.inf, layer.delays[src, cols])
+    theta = layer.thresholds[:, None]
+    step = max(1, KERNEL_CHUNK_ELEMS // (fan_out * k))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, batch, step):
+            arr = times[lo : lo + step][:, src] + d
+            arr[np.isnan(arr)] = np.inf
+            order = np.argsort(arr, axis=-1, kind="stable")
+            arr_s = np.take_along_axis(arr, order, axis=-1)
+            w_s = w[cols, order]
+            finite_mask = np.isfinite(arr_s)
+            wcum = np.cumsum(w_s, axis=-1)
+            scum = np.cumsum(w_s * np.where(finite_mask, arr_s, 0.0), axis=-1)
+            cand = (theta + scum) / wcum
+            valid = (wcum > 0) & finite_mask & np.isfinite(cand) & (cand > arr_s)
+            valid[..., :-1] &= cand[..., :-1] <= arr_s[..., 1:]
+            first = np.argmax(valid, axis=-1)[..., None]
+            picked = np.take_along_axis(cand, first, axis=-1)[..., 0]
+            out[lo : lo + step] = np.where(valid.any(axis=-1), picked, np.nan)
     return out
 
 
