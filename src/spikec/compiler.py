@@ -241,18 +241,30 @@ def build_layer_gadget(
     return TypedSNN(net, par.enc)
 
 
-def _share_zero_delays(t: TypedSNN) -> TypedSNN:
-    """Replace each all-zero delay matrix by one zero-stride read-only view.
+def _share_repeated_arrays(t: TypedSNN) -> TypedSNN:
+    """Share repeated weight matrices and zero delays read-only.
 
-    Gadget delays are all zero, so this halves a compiled network's memory
+    A layer whose weights equal an earlier layer's bit for bit reuses that
+    array: every hidden stage's two ReLU layers are the same, whatever the
+    stage.  Every kept weight array is made read-only so that sharing it is
+    safe, and each all-zero delay matrix (all gadget delays are zero) becomes
+    one zero-stride read-only view.  This cuts a compiled network's memory
     without changing its realization or its serialized form.
     """
-    layers = tuple(
-        layer if layer.delays.any()
-        else replace(layer, delays=np.broadcast_to(0.0, layer.delays.shape))
-        for layer in t.net.layers
-    )
-    return TypedSNN(replace(t.net, layers=layers), t.enc)
+    kept: list[np.ndarray] = []
+    layers = []
+    for layer in t.net.layers:
+        bits = layer.weights.view(np.int64)
+        w = next((k for k in kept if np.array_equal(k.view(np.int64), bits)), None)
+        if w is None:
+            w = layer.weights
+            w.setflags(write=False)
+            kept.append(w)
+        delays = layer.delays
+        if not delays.any():
+            delays = np.broadcast_to(0.0, delays.shape)
+        layers.append(replace(layer, weights=w, delays=delays))
+    return TypedSNN(replace(t.net, layers=tuple(layers)), t.enc)
 
 
 def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]:
@@ -285,7 +297,7 @@ def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]
     f = _affine_layer_gadget(A, B, cur_domain, t)
     composed = f if composed is None else concatenate(f, composed, check_range=False)
     refs.append((t, f.enc.t_out_ref))
-    composed = _share_zero_delays(composed)
+    composed = _share_repeated_arrays(composed)
 
     d = ann.fixed_width
     if d is not None:

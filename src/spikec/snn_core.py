@@ -198,9 +198,15 @@ def resolve_firing_time(
     automatically.  A candidate that is not finite (the weight sum is too
     small for theta to be divided by it) is not a crossing.  Returns a
     certificate with Never if no prefix is accepted.
+
+    Arrivals, weights and threshold are taken as Python floats: the IEEE
+    results are those of numpy scalars, and a division that overflows gives
+    inf without a warning.
     """
+    threshold = float(threshold)
     if not threshold > 0:
         raise InvalidParameterError("threshold must be positive")
+    arrivals = [(float(a), float(w)) for a, w in arrivals]
     n = len(arrivals)
     if n == 0:
         return ContributionCertificate(frozenset(), NEVER)
@@ -411,52 +417,84 @@ def realize(net: SpikingNetwork, enc: EncodingSpec, x) -> np.ndarray:
 KERNEL_CHUNK_ELEMS = 1 << 15
 
 
+def _first_crossing(arr_s: np.ndarray, w_s: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The prefix-scan rule of :func:`resolve_firing_time` along the last axis.
+
+    ``arr_s`` holds arrival times sorted along the last axis (+inf for Never)
+    and ``w_s`` the weights in the same order; both broadcast against each
+    other and ``theta`` against the result without its last axis.  Returns
+    the first accepted candidate of each scan, NaN where none is accepted.
+    """
+    finite_mask = np.isfinite(arr_s)
+    wcum = np.cumsum(w_s, axis=-1)
+    scum = np.cumsum(w_s * np.where(finite_mask, arr_s, 0.0), axis=-1)
+    cand = (theta[..., None] + scum) / wcum
+    valid = (wcum > 0) & finite_mask & np.isfinite(cand) & (cand > arr_s)
+    valid[..., :-1] &= cand[..., :-1] <= arr_s[..., 1:]
+    first = np.argmax(valid, axis=-1)[..., None]
+    picked = np.take_along_axis(cand, first, axis=-1)[..., 0]
+    return np.where(valid.any(axis=-1), picked, np.nan)
+
+
 def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
     """Vectorized :func:`layer_forward` over a (batch, fan_in) time array.
 
     Never is represented by NaN in both directions.  Follows exactly the
-    prefix-scan acceptance rule of :func:`resolve_firing_time`, but scans
-    only each output's nonzero-weight synapses: a zero weight adds nothing
-    to the prefix sums, and its arrival only splits a segment whose
-    candidate time it cannot change, so the result is the same bit for bit.
-    Outputs are padded to the widest live column with weight 0 and arrival
-    +inf, all outputs of the layer are resolved at once, and the batch is
-    walked in chunks of rows so that every temporary holds at most
+    prefix-scan acceptance rule of :func:`resolve_firing_time`; the two ways
+    of ordering arrivals below differ only in which synapses they scan, and
+    give the same result bit for bit.
+
+    - Shared order: when every delay is zero, all outputs see the same
+      arrival order, so each batch row is sorted once and every output scans
+      the whole fan-in in that order.  Used when the widest live column
+      covers at least half the fan-in (``2*k >= fan_in``).
+    - Per-output order: otherwise each output scans only its nonzero-weight
+      synapses, padded to the widest live column with weight 0 and arrival
+      +inf, and sorts them on its own.  A zero weight adds nothing to the
+      prefix sums, and its arrival only splits a segment whose candidate time
+      it cannot change, so skipping it does not change the result.
+
+    Either way all outputs of the layer are resolved at once, and the batch
+    is walked in chunks of rows so that every temporary holds at most
     KERNEL_CHUNK_ELEMS elements, or one row's worth.
     """
     if times.ndim != 2 or times.shape[1] != layer.fan_in:
         raise DimensionError("batch times must have shape (batch, fan_in)")
-    batch, fan_out = times.shape[0], layer.fan_out
+    batch, fan_in, fan_out = times.shape[0], layer.fan_in, layer.fan_out
     out = np.full((batch, fan_out), np.nan)
     live = layer.weights != 0
     counts = live.sum(axis=0)
     k = int(counts.max(initial=0))
     if k == 0:
         return out
-    # Column j's live inputs in input order, then padding: shape (fan_out, k).
-    src = np.argsort(~live, axis=0, kind="stable")[:k].T
-    cols = np.arange(fan_out)[:, None]
-    pad = np.arange(k) >= counts[:, None]
-    w = np.where(pad, 0.0, layer.weights[src, cols])
-    d = np.where(pad, np.inf, layer.delays[src, cols])
-    theta = layer.thresholds[:, None]
-    step = max(1, KERNEL_CHUNK_ELEMS // (fan_out * k))
+    shared = 2 * k >= fan_in and not layer.delays.any()
+    if shared:
+        src, d, width = slice(None), 0.0, fan_in
+        # Outputs first, so that each output's weights in a row's arrival
+        # order are one contiguous gather.
+        w = np.ascontiguousarray(layer.weights.T)
+    else:
+        # Column j's live inputs in input order, then padding: (fan_out, k).
+        src = np.argsort(~live, axis=0, kind="stable")[:k].T
+        cols = np.arange(fan_out)[:, None]
+        pad = np.arange(k) >= counts[:, None]
+        w = np.where(pad, 0.0, layer.weights[src, cols])
+        d = np.where(pad, np.inf, layer.delays[src, cols])
+        width = k
+    step = max(1, KERNEL_CHUNK_ELEMS // (fan_out * width))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, batch, step):
             arr = times[lo : lo + step][:, src] + d
             arr[np.isnan(arr)] = np.inf
             order = np.argsort(arr, axis=-1, kind="stable")
             arr_s = np.take_along_axis(arr, order, axis=-1)
-            w_s = w[cols, order]
-            finite_mask = np.isfinite(arr_s)
-            wcum = np.cumsum(w_s, axis=-1)
-            scum = np.cumsum(w_s * np.where(finite_mask, arr_s, 0.0), axis=-1)
-            cand = (theta + scum) / wcum
-            valid = (wcum > 0) & finite_mask & np.isfinite(cand) & (cand > arr_s)
-            valid[..., :-1] &= cand[..., :-1] <= arr_s[..., 1:]
-            first = np.argmax(valid, axis=-1)[..., None]
-            picked = np.take_along_axis(cand, first, axis=-1)[..., 0]
-            out[lo : lo + step] = np.where(valid.any(axis=-1), picked, np.nan)
+            if shared:
+                # (rows, fan_out, fan_in): every output scans its row's order.
+                w_s = w[:, order].transpose(1, 0, 2)
+                arr_s = arr_s[:, None]
+            else:
+                w_s = w[cols, order]
+            out[lo : lo + step] = _first_crossing(arr_s, w_s, layer.thresholds)
     return out
 
 

@@ -4,6 +4,7 @@ path, and hold its temporaries to a fixed size."""
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spikec import (
     Layer,
     RealizationUndefinedError,
     ReluNetwork,
+    SpikingNetwork,
     compile_ann,
     finite,
     layer_forward,
@@ -110,6 +112,33 @@ def test_kernel_matches_reference_on_random_layers(monkeypatch, chunk):
         assert np.array_equal(got, dense_per_output_reference(layer, times), equal_nan=True)
 
 
+def zero_delay_layer(rng, fan_in, fan_out, density):
+    w = rng.normal(0.0, 1.0, (fan_in, fan_out))
+    w[rng.random(w.shape) >= density] = 0.0
+    return Layer(w, np.zeros(w.shape), rng.uniform(0.1, 3.0, fan_out))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, snn_core.KERNEL_CHUNK_ELEMS])
+def test_shared_order_matches_reference_on_zero_delay_layers(monkeypatch, chunk):
+    # All-zero delays take the shared arrival sort when the widest live
+    # column covers at least half the fan-in, the per-output sort otherwise.
+    monkeypatch.setattr(snn_core, "KERNEL_CHUNK_ELEMS", chunk)
+    rng = np.random.default_rng(100 + chunk)
+    sides = {"shared": 0, "per_output": 0, "boundary": 0}
+    for density in np.linspace(0.05, 1.0, 20):
+        for _ in range(15):
+            fan_in, fan_out = rng.integers(1, 13), rng.integers(1, 9)
+            layer = zero_delay_layer(rng, fan_in, fan_out, density)
+            k = int((layer.weights != 0).sum(axis=0).max())
+            if k:
+                sides["shared" if 2 * k >= fan_in else "per_output"] += 1
+                sides["boundary"] += 2 * k == fan_in
+            times = random_times(rng, int(rng.integers(1, 40)), fan_in)
+            got = layer_forward_batch(layer, times)
+            assert np.array_equal(got, dense_per_output_reference(layer, times), equal_nan=True)
+    assert min(sides.values()) > 0, sides
+
+
 def test_kernel_handles_empty_batch_and_silent_layer():
     layer = Layer(np.zeros((3, 2)), np.zeros((3, 2)), np.ones(2))
     assert np.isnan(layer_forward_batch(layer, np.zeros((4, 3)))).all()
@@ -143,6 +172,14 @@ def test_subnormal_weight_sum_is_not_a_crossing():
     enc = snn_core.EncodingSpec(0.0, 1.0, Box([-1.0], [1.0]))
     with pytest.raises(RealizationUndefinedError):
         realize_batch(net, enc, np.array([[0.0]]))
+
+
+def test_subnormal_weight_sum_does_not_warn():
+    # theta / 5e-324 overflows to inf as a Python float, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = resolve_firing_time([(0.0, 5e-324)], np.float64(1.0))
+    assert cert.firing_time is NEVER
 
 
 WEIGHTS = st.one_of(
@@ -186,6 +223,32 @@ def test_scalar_and_batch_paths_agree_exactly(case):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+@st.composite
+def shared_order_layer_and_times(draw):
+    # All-zero delays and one fully live column, so 2*k >= fan_in holds.
+    fan_in = draw(st.integers(1, 5))
+    fan_out = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 4))
+    live = draw(exactly(WEIGHTS.filter(lambda w: w != 0.0), fan_in))
+    rest = draw(exactly(WEIGHTS, fan_in * (fan_out - 1)))
+    theta = draw(exactly(st.floats(0.05, 3.0), fan_out))
+    times = draw(exactly(TIMES, batch * fan_in))
+    w = np.hstack([np.reshape(live, (fan_in, 1)), np.reshape(rest, (fan_in, fan_out - 1))])
+    layer = Layer(w, np.zeros(w.shape), np.array(theta))
+    return layer, np.reshape(times, (batch, fan_in))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_order_layer_and_times())
+def test_scalar_and_shared_order_batch_paths_agree_exactly(case):
+    layer, times = case
+    batch = layer_forward_batch(layer, times)
+    for row, want in zip(times, batch):
+        inputs = tuple(NEVER if np.isnan(v) else finite(v) for v in row)
+        got = [ft.time if ft.fires else np.nan for ft in layer_forward(layer, inputs)]
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 FIXED_ANN = ReluNetwork(
     (
         (
@@ -211,3 +274,29 @@ def test_compiled_layers_share_zero_delays():
     text = dumps_canonical(snn_to_dict(snn))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "7f499a479e9f4ae6cafb206506af74762dd4ad83a5edc90cb5539980a8201465"
+
+
+def test_compiled_relu_stages_share_one_read_only_weight_matrix():
+    rng = np.random.default_rng(4)
+    snn, _ = compile_ann(random_ann(rng, 4, 4, 1.0), Box.cube(-1.0, 1.0, 4))
+    layers = snn.net.layers
+    assert len(layers) == 10
+    for stage in (1, 2):
+        assert layers[3 * stage + 1].weights is layers[1].weights
+        assert layers[3 * stage + 2].weights is layers[2].weights
+    for layer in layers:
+        assert not layer.weights.flags.writeable
+        with pytest.raises(ValueError):
+            layer.weights[0, 0] = 1.0
+    unshared = SpikingNetwork(
+        snn.net.input_dim,
+        tuple(
+            Layer(np.array(l.weights), np.array(l.delays), l.thresholds.copy())
+            for l in layers
+        ),
+        snn.net.aux_input_times,
+    )
+    assert all(u.weights.flags.writeable for u in unshared.layers)
+    xs = rng.uniform(-1.0, 1.0, (200, 4))
+    want = realize_batch(unshared, snn.enc, xs)
+    assert np.array_equal(realize_batch(snn.net, snn.enc, xs), want)
