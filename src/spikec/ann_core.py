@@ -77,14 +77,14 @@ class ReluNetwork:
 
 
 def ann_forward(net: ReluNetwork, x) -> np.ndarray:
-    """Evaluate the network; no activation after the final layer."""
+    """Evaluate on one input or a (batch, input_dim) array; the last layer is affine."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (net.input_dim,):
-        raise DimensionError(f"input must have length {net.input_dim}")
+    if x.ndim > 2 or x.shape[-1] != net.input_dim:
+        raise DimensionError(f"input must have trailing dimension {net.input_dim}")
     for a, b in net.layers[:-1]:
-        x = np.maximum(0.0, a @ x + b)
+        x = np.maximum(0.0, x @ a.T + b)
     a, b = net.layers[-1]
-    return a @ x + b
+    return x @ a.T + b
 
 
 def layer_range_bound(A: np.ndarray, B: np.ndarray, domain: Box) -> Box:

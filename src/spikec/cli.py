@@ -14,10 +14,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .ann_core import ReluNetwork, ann_forward
+from .ann_core import ann_forward
 from .boxes import Box
 from .compiler import compile_ann
-from .errors import DomainViolationError, RealizationUndefinedError, SpikecError
+from .errors import (
+    DomainViolationError, InvalidParameterError, RealizationUndefinedError, SpikecError
+)
 from .regions import empirical_region_count, enumerate_regions
 from .serialization import (
     FileFormatError,
@@ -26,7 +28,7 @@ from .serialization import (
     load_snn,
     save_snn,
 )
-from .snn_core import finite, network_trace, oracle_firing_time, realize
+from .snn_core import _neuron_arrivals, finite, network_trace, oracle_firing_time, realize
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 1
@@ -44,14 +46,6 @@ def _parse_csv(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError as e:
         raise FileFormatError(f"bad numeric list {text!r}: {e}") from e
-
-
-def _ann_batch(net: ReluNetwork, xs: np.ndarray) -> np.ndarray:
-    ys = xs
-    for a, b in net.layers[:-1]:
-        ys = np.maximum(0.0, ys @ a.T + b)
-    a, b = net.layers[-1]
-    return ys @ a.T + b
 
 
 def cmd_simulate(args) -> int:
@@ -101,18 +95,21 @@ def cmd_compile(args) -> int:
 
 def _thread_count() -> int:
     env = os.environ.get("SPIKEC_THREADS", "").strip()
-    if env:
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    try:
         return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    except ValueError:
+        raise InvalidParameterError(f"SPIKEC_THREADS is not an integer: {env!r}") from None
 
 
 def cmd_verify(args) -> int:
+    n_threads = _thread_count()
     ann = load_ann(args.ann)
     snn = load_snn(args.snn)
     pts = snn.enc.domain.grid(args.grid)
-    want = _ann_batch(ann, pts)
+    want = ann_forward(ann, pts)
 
-    n_threads = _thread_count()
     if n_threads > 1 and pts.shape[0] >= 4 * n_threads:
         chunks = np.array_split(pts, n_threads)
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -192,15 +189,12 @@ def cmd_oracle(args) -> int:
         finite(a) for a in t.net.aux_input_times
     ]
     for layer in t.net.layers:
-        nxt = []
-        for j in range(layer.fan_out):
-            arrivals = [
-                (times[i].time + layer.delays[i, j], layer.weights[i, j])
-                for i in range(layer.fan_in)
-                if times[i].fires
-            ]
-            nxt.append(oracle_firing_time(arrivals, layer.thresholds[j], args.dt))
-        times = nxt
+        times = [
+            oracle_firing_time(
+                _neuron_arrivals(layer, times, j), layer.thresholds[j], args.dt
+            )
+            for j in range(layer.fan_out)
+        ]
     _emit({"firing_times": [ft.time for ft in times]})
     return EXIT_OK
 

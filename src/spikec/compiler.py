@@ -2,10 +2,12 @@
 
 The construction is gadget-based.  An affine map and a scalar ReLU each have
 a small hand-parameterized spiking network realizing them exactly under
-temporal coding; a neuron gadget chains the two, a layer gadget runs one
-neuron gadget per output row and then merges the duplicated constant-firing
-auxiliary neurons; the full compiler concatenates one layer gadget per ANN
-layer, with a bare affine gadget for the final (activation-free) layer.
+temporal coding; a neuron gadget chains the two.  A layer gadget is what
+running one neuron gadget per output row side by side and merging their
+duplicated constant-firing auxiliary neurons gives, written down directly:
+an affine layer and two ReLU layers whose weights depend only on the width.
+The full compiler concatenates one layer gadget per ANN layer, with a bare
+affine gadget for the final (activation-free) layer.
 
 Thresholds are sized from conservative symmetric range bounds so that inside
 the declared domain every gadget neuron is guaranteed to fire, and in the
@@ -14,19 +16,23 @@ the firing times affine in the inputs and the emulation exact, not
 approximate.
 
 All gadget delays are zero: delays only shift reference times and zero keeps
-the time bookkeeping minimal.
+the time bookkeeping minimal.  Compiled layers hold read-only weights and one
+zero-stride view for their delays, so the ReLU weight pair of a given width
+is built once and shared by every stage and every compile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .ann_core import ReluNetwork, layer_range_bound
 from .boxes import Box
-from .calculus import TypedSNN, concatenate, merge_neurons, parallelize
+from .calculus import TypedSNN, concatenate
+# Uncalled here, but bench/tracing.py patches these names on this module.
+from .calculus import merge_neurons, parallelize  # noqa: F401
 from .errors import DimensionError, InvalidParameterError
 from .snn_core import EncodingSpec, Layer, SpikingNetwork
 
@@ -71,6 +77,16 @@ def build_relu_gadget(domain: tuple[float, float], t_in_ref: float) -> TypedSNN:
     net = SpikingNetwork(1, (l1, l2), aux_input_times=(t_in_ref,))
     enc = EncodingSpec(t_in_ref, t_in_ref + 2.0 * theta, Box([a], [b]))
     return TypedSNN(net, enc)
+
+
+def _zero_delay_layer(weights: np.ndarray, thresholds: np.ndarray) -> Layer:
+    """A gadget layer with read-only weights and one zero-stride zero delay.
+
+    Every gadget delay is zero, so the delays take no memory, and read-only
+    weights may be shared between layers and networks.
+    """
+    weights.setflags(write=False)
+    return Layer(weights, np.broadcast_to(0.0, weights.shape), thresholds)
 
 
 def _affine_layer_gadget(
@@ -134,8 +150,7 @@ def _affine_layer_gadget(
         w = np.hstack([w, np.zeros((d + 1, 1))])
         w[d, m] = 1.0
         th = np.concatenate([thetas, [t_out_ref - t_in_ref]])
-    layer = Layer(w, np.zeros_like(w), th)
-    net = SpikingNetwork(d, (layer,), aux_input_times=(t_in_ref,))
+    net = SpikingNetwork(d, (_zero_delay_layer(w, th),), aux_input_times=(t_in_ref,))
     return TypedSNN(net, EncodingSpec(t_in_ref, t_out_ref, domain))
 
 
@@ -189,6 +204,27 @@ def build_neuron_gadget(
     return concatenate(relu, aff, check_range=False)
 
 
+@lru_cache(maxsize=8)
+def _relu_stage_weights(m: int, aux_output: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of the two ReLU layers of an m-output layer gadget.
+
+    Payload j enters at position P[j] = [0, 2, ..., m] and the timing neuron
+    at 1.  In both layers payload P[j] feeds output j's slot (P[j] in the
+    hidden layer, j in the output layer) with weight -1/2, and the timing or
+    constant neuron at 1 feeds every neuron with weight 1, the constant
+    hidden neuron and the optional re-export included.  The pair depends only
+    on (m, aux_output), so every stage and compile of that width shares it.
+    """
+    p = np.r_[0, 2 : m + 1]
+    hidden = np.zeros((m + 1, m + 1))
+    out = np.zeros((m + 1, m + int(aux_output)))
+    hidden[p, p] = out[p, np.arange(m)] = -0.5
+    hidden[1] = out[1] = 1.0
+    hidden.setflags(write=False)
+    out.setflags(write=False)
+    return hidden, out
+
+
 def build_layer_gadget(
     A: np.ndarray,
     B: np.ndarray,
@@ -198,73 +234,41 @@ def build_layer_gadget(
 ) -> TypedSNN:
     """Depth-3 gadget realizing x -> max(0, Ax + B) componentwise.
 
-    Runs one neuron gadget per output row, all sized with the shared weight
-    and bias bounds so they agree on reference times, then merges the
-    duplicated constant-firing neurons: every row's affine-stage timing
-    re-export collapses into one, and likewise the ReLU stages' constant
-    hidden neurons.  For a square d x d layer the result has 4d + 3 neurons.
+    Written in closed form, it equals running one neuron gadget per output
+    row (all sized with the shared weight and bias bounds, so they agree on
+    reference times) side by side and merging their duplicated
+    constant-firing neurons.  Layer 1 is the affine layer gadget with its
+    timing re-export moved to position 1.  Layers 2 and 3 are the ReLU
+    gadget's 2x2 and 2x1 blocks over the payload positions [0, 2, ..., m],
+    all sharing the one timing neuron at position 1 and a single constant
+    hidden neuron; every ReLU threshold is bp + 1, with bp the stage's range
+    bound.  For a square d x d layer the result has 4d + 3 neurons.
 
     With aux_output set, one extra output neuron re-exports the timing
     signal at the gadget's output reference time.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    # C order makes the affine stage sum each row on its own, as a
+    # single-row gadget does, so the weights agree to the last bit.
+    A = np.atleast_2d(np.ascontiguousarray(A, dtype=float))
     B = np.atleast_1d(np.asarray(B, dtype=float))
     m, d = A.shape
+    if m == 0:
+        raise DimensionError("a layer gadget needs at least one output row")
     ca = float(np.max(np.abs(A), initial=0.0))
     sb = float(np.max(np.abs(B), initial=0.0))
-    margin = 1.0 if float(np.min(B + sb)) <= 1e-9 * max(1.0, sb) else 0.0
-    gadgets = [
-        build_neuron_gadget(A[j], B[j], domain, t_in_ref, ca, sb, margin)
-        for j in range(m)
-    ]
-    par = reduce(parallelize, gadgets)
-
-    net = par.net
-    # Merge each row's affine-stage timing neuron (layer-1 column 2j+1) into
-    # row 0's, then the ReLU stages' constant neurons (layer-2 column 2j+1).
-    for j in range(m - 1, 0, -1):
-        net = merge_neurons(net, 0, keep=1, drop=2 * j + 1)
-    for j in range(m - 1, 0, -1):
-        net = merge_neurons(net, 1, keep=1, drop=2 * j + 1)
-
-    if aux_output:
-        bp = _relu_stage_bound(d, ca, sb, domain.max_abs)
-        theta_relu = bp + 1.0
-        last = net.layers[-1]
-        w = np.hstack([last.weights, np.zeros((last.fan_in, 1))])
-        w[1, -1] = 1.0
-        dl = np.hstack([last.delays, np.zeros((last.fan_in, 1))])
-        th = np.concatenate([last.thresholds, [theta_relu]])
-        net = SpikingNetwork(
-            net.input_dim, net.layers[:-1] + (Layer(w, dl, th),), net.aux_input_times
-        )
-    return TypedSNN(net, par.enc)
-
-
-def _share_repeated_arrays(t: TypedSNN) -> TypedSNN:
-    """Share repeated weight matrices and zero delays read-only.
-
-    A layer whose weights equal an earlier layer's bit for bit reuses that
-    array: every hidden stage's two ReLU layers are the same, whatever the
-    stage.  Every kept weight array is made read-only so that sharing it is
-    safe, and each all-zero delay matrix (all gadget delays are zero) becomes
-    one zero-stride read-only view.  This cuts a compiled network's memory
-    without changing its realization or its serialized form.
-    """
-    kept: list[np.ndarray] = []
-    layers = []
-    for layer in t.net.layers:
-        bits = layer.weights.view(np.int64)
-        w = next((k for k in kept if np.array_equal(k.view(np.int64), bits)), None)
-        if w is None:
-            w = layer.weights
-            w.setflags(write=False)
-            kept.append(w)
-        delays = layer.delays
-        if not delays.any():
-            delays = np.broadcast_to(0.0, delays.shape)
-        layers.append(replace(layer, weights=w, delays=delays))
-    return TypedSNN(replace(t.net, layers=tuple(layers)), t.enc)
+    aff = _affine_layer_gadget(A, B, domain, t_in_ref, ca, sb, aux_output=True)
+    first = aff.net.layers[0]
+    perm = np.r_[0, m, 1:m]
+    theta = _relu_stage_bound(d, ca, sb, domain.max_abs) + 1.0
+    hidden, out = _relu_stage_weights(m, aux_output)
+    layers = (
+        _zero_delay_layer(first.weights[:, perm], first.thresholds[perm]),
+        _zero_delay_layer(hidden, np.full(m + 1, theta)),
+        _zero_delay_layer(out, np.full(out.shape[1], theta)),
+    )
+    net = SpikingNetwork(d, layers, aux_input_times=(t_in_ref,))
+    enc = EncodingSpec(t_in_ref, aff.enc.t_out_ref + 2.0 * theta, domain)
+    return TypedSNN(net, enc)
 
 
 def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]:
@@ -297,7 +301,6 @@ def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]
     f = _affine_layer_gadget(A, B, cur_domain, t)
     composed = f if composed is None else concatenate(f, composed, check_range=False)
     refs.append((t, f.enc.t_out_ref))
-    composed = _share_repeated_arrays(composed)
 
     d = ann.fixed_width
     if d is not None:

@@ -36,6 +36,31 @@ def test_forward_dimension_check():
         ann_forward(net, [1.0])
 
 
+def test_batch_forward_matches_row_by_row():
+    rng = np.random.default_rng(5)
+    net = ReluNetwork(
+        (
+            (rng.normal(size=(6, 3)), rng.normal(size=6)),
+            (rng.normal(size=(4, 6)), rng.normal(size=4)),
+            (rng.normal(size=(2, 4)), rng.normal(size=2)),
+        )
+    )
+    xs = rng.uniform(-2, 2, (40, 3))
+    got = ann_forward(net, xs)
+    assert got.shape == (40, 2)
+    # Matrix-matrix and matrix-vector products may round differently.
+    want = np.array([ann_forward(net, x) for x in xs])
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_batch_forward_dimension_check():
+    net = ReluNetwork(((np.eye(2), np.zeros(2)),))
+    with pytest.raises(DimensionError):
+        ann_forward(net, np.zeros((5, 3)))
+    with pytest.raises(DimensionError):
+        ann_forward(net, np.zeros((1, 5, 2)))
+
+
 def test_layer_shape_chaining_validated():
     with pytest.raises(DimensionError):
         ReluNetwork(((np.eye(2), np.zeros(2)), (np.ones((1, 3)), np.zeros(1))))

@@ -182,3 +182,18 @@ def test_thread_env_controls_verify(capsys, tmp_path, monkeypatch):
             "--grid", "101", "--tol", "1e-9",
         )
         assert code == 0 and out["pass"] is True
+
+
+def test_non_integer_thread_count_is_bad_input(capsys, tmp_path, monkeypatch):
+    ann_path = tmp_path / "ann.json"
+    snn_path = tmp_path / "snn.json"
+    save_ann(ann_path, build_example_3_1_ann(1.0))
+    assert main(["compile", "--ann", str(ann_path), "--domain=-3,3", "-o", str(snn_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SPIKEC_THREADS", "abc")
+    code, out = run_cli(
+        capsys, "verify", "--ann", str(ann_path), "--snn", str(snn_path), "--grid", "5"
+    )
+    assert code == 1
+    assert out["error"] == "bad-input"
+    assert "SPIKEC_THREADS" in out["detail"]

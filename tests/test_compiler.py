@@ -1,10 +1,13 @@
 """Tests for the ReLU-to-spiking gadgets and the full compiler."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from spikec import (
     Box,
+    DimensionError,
     InvalidParameterError,
     ReluNetwork,
     ann_forward,
@@ -17,7 +20,8 @@ from spikec import (
     compile_ann,
     layer_certificates,
 )
-from spikec.snn_core import finite, network_trace
+from spikec.calculus import TypedSNN, merge_neurons, parallelize
+from spikec.snn_core import Layer, SpikingNetwork, finite, network_trace
 
 
 def ann_batch(ann, xs):
@@ -111,6 +115,115 @@ def test_layer_gadget_aux_output_fires_at_reference():
     g = build_layer_gadget(A, B, Box.cube(-1, 1, 2), 0.0, aux_output=True)
     trace = network_trace(g.net, (finite(0.3), finite(-0.8)))
     assert trace[-1][-1].time == pytest.approx(g.enc.t_out_ref, abs=1e-12)
+
+
+def layer_gadget_reference(A, B, domain, t_in_ref, aux_output=False):
+    """The layer gadget by the composition algebra: one neuron gadget per row,
+    all sized with the shared bounds and run side by side, with every row's
+    timing neuron and every ReLU stage's constant neuron merged into row 0's,
+    and the optional re-export column appended."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_1d(np.asarray(B, dtype=float))
+    m, d = A.shape
+    ca = float(np.max(np.abs(A), initial=0.0))
+    sb = float(np.max(np.abs(B), initial=0.0))
+    margin = 1.0 if float(np.min(B + sb)) <= 1e-9 * max(1.0, sb) else 0.0
+    par = reduce(
+        parallelize,
+        [build_neuron_gadget(A[j], B[j], domain, t_in_ref, ca, sb, margin) for j in range(m)],
+    )
+    net = par.net
+    for j in range(m - 1, 0, -1):
+        net = merge_neurons(net, 0, keep=1, drop=2 * j + 1)
+    for j in range(m - 1, 0, -1):
+        net = merge_neurons(net, 1, keep=1, drop=2 * j + 1)
+    if aux_output:
+        theta = max(d * ca * domain.max_abs + sb, 1.0) + 1.0
+        last = net.layers[-1]
+        w = np.hstack([last.weights, np.zeros((last.fan_in, 1))])
+        w[1, -1] = 1.0
+        layer = Layer(w, np.zeros_like(w), np.append(last.thresholds, theta))
+        net = SpikingNetwork(net.input_dim, net.layers[:-1] + (layer,), net.aux_input_times)
+    return TypedSNN(net, par.enc)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def gadget_cases():
+    rng = np.random.default_rng(17)
+    for m, d in ((1, 1), (1, 4), (3, 2), (2, 5), (6, 6), (9, 3), (20, 20)):
+        A = rng.normal(0.0, 1.0 / np.sqrt(d), (m, d))
+        B = rng.normal(0.0, 1.0, m)
+        yield A, B
+        margin_B = B.copy()
+        margin_B[rng.integers(m)] = -np.max(np.abs(B))
+        yield A, margin_B
+        zero_row = A.copy()
+        zero_row[rng.integers(m)] = 0.0
+        yield zero_row, B
+        yield np.asfortranarray(A), B
+
+
+@pytest.mark.parametrize("aux_output", [False, True])
+@pytest.mark.parametrize("t_in_ref", [0.0, 3.75])
+def test_layer_gadget_equals_the_algebra_reference(aux_output, t_in_ref):
+    for A, B in gadget_cases():
+        d = A.shape[1]
+        domain = Box(np.full(d, -1.5), np.full(d, 0.75))
+        got = build_layer_gadget(A, B, domain, t_in_ref, aux_output=aux_output)
+        want = layer_gadget_reference(A, B, domain, t_in_ref, aux_output=aux_output)
+        assert got.net.input_dim == want.net.input_dim
+        assert got.net.aux_input_times == want.net.aux_input_times
+        assert got.enc.t_in_ref == want.enc.t_in_ref
+        assert got.enc.t_out_ref == want.enc.t_out_ref
+        assert got.net.depth == want.net.depth == 3
+        for g, w in zip(got.net.layers, want.net.layers):
+            assert same_bits(g.weights, w.weights)
+            assert same_bits(g.delays, w.delays)
+            assert same_bits(g.thresholds, w.thresholds)
+
+
+def test_layer_gadget_needs_an_output_row():
+    with pytest.raises(DimensionError):
+        build_layer_gadget(np.zeros((0, 2)), np.zeros(0), Box.cube(-1, 1, 2), 0.0)
+
+
+def random_square_ann(rng, width, depth):
+    layers = [
+        (rng.normal(0.0, 1.0 / np.sqrt(width), (width, width)), rng.normal(0.0, 1.0, width))
+        for _ in range(depth - 1)
+    ]
+    layers.append((rng.normal(0.0, 1.0, (1, width)), rng.normal(0.0, 1.0, 1)))
+    return ReluNetwork(tuple(layers))
+
+
+def test_compiles_of_one_width_share_read_only_relu_weights():
+    rng = np.random.default_rng(23)
+    box = Box.cube(-1.0, 1.0, 5)
+    first, _ = compile_ann(random_square_ann(rng, 5, 3), box)
+    second, _ = compile_ann(random_square_ann(rng, 5, 3), box)
+    a, b = first.net.layers, second.net.layers
+    assert not np.array_equal(a[0].weights, b[0].weights)
+    for i in (1, 2, 4, 5):
+        assert a[i].weights is b[i].weights
+        assert not a[i].weights.flags.writeable
+        with pytest.raises(ValueError):
+            a[i].weights[0, 0] = 2.0
+    xs = rng.uniform(-1.0, 1.0, (300, 5))
+    for snn in (first, second):
+        unshared = SpikingNetwork(
+            snn.net.input_dim,
+            tuple(
+                Layer(np.array(l.weights), np.array(l.delays), l.thresholds.copy())
+                for l in snn.net.layers
+            ),
+            snn.net.aux_input_times,
+        )
+        want = TypedSNN(unshared, snn.enc).realize_batch(xs)
+        assert np.array_equal(snn.realize_batch(xs), want, equal_nan=True)
 
 
 def test_compile_counts_spot_value():
