@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
 
+CONTAINS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Box:
@@ -45,11 +47,12 @@ class Box:
     def diameter(self) -> float:
         return float(np.max(self.hi - self.lo))
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != self.lo.shape:
             raise DimensionError(f"point has dimension {x.size}, box {self.dim}")
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        lo, hi = self.lo - CONTAINS_TOL, self.hi + CONTAINS_TOL
+        return bool(np.all(x >= lo) and np.all(x <= hi))
 
     def shift(self, offset: float) -> "Box":
         return Box(self.lo + offset, self.hi + offset)

@@ -23,6 +23,8 @@ from .errors import DimensionError, IncompatibleNetworksError, InvalidParameterE
 from .snn_core import EncodingSpec, Layer, SpikingNetwork, realize_batch
 
 REF_TOL = 1e-9
+RANGE_CHECK_SAMPLES = 200
+RANGE_CHECK_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,7 @@ class TypedSNN:
         return realize_batch(self.net, self.enc, xs)
 
 
-def concatenate(
-    outer: TypedSNN,
-    inner: TypedSNN,
-    check_range: bool = True,
-    n_check: int = 200,
-    seed: int = 0,
-) -> TypedSNN:
+def concatenate(outer: TypedSNN, inner: TypedSNN, check_range: bool = True) -> TypedSNN:
     """Compose two networks: result realizes outer after inner.
 
     The inner network's output spikes become the outer network's input
@@ -61,11 +57,12 @@ def concatenate(
     at exactly the outer auxiliary times for every input, and the remaining
     outputs feed the outer payload inputs in order.
 
-    With check_range set, the inner realization is sampled over its domain
-    and required to land inside the outer domain (and the trailing outputs
-    at the outer auxiliary times).  The sampled check is a heuristic stand-in
-    for exact range containment, which would itself require region
-    enumeration; callers with a prior guarantee can skip it.
+    With check_range set, the inner realization is sampled at
+    RANGE_CHECK_SAMPLES seeded points of its domain and required to land
+    inside the outer domain (and the trailing outputs at the outer auxiliary
+    times).  The sampled check is a heuristic stand-in for exact range
+    containment, which would itself require region enumeration; callers
+    with a prior guarantee can skip it.
     """
     k = outer.net.n_aux
     if inner.net.output_dim != outer.net.input_dim + k:
@@ -78,8 +75,8 @@ def concatenate(
             "reference-time mismatch: inner t_out_ref != outer t_in_ref"
         )
     if check_range:
-        rng = np.random.default_rng(seed)
-        xs = inner.enc.domain.sample(rng, n_check)
+        rng = np.random.default_rng(RANGE_CHECK_SEED)
+        xs = inner.enc.domain.sample(rng, RANGE_CHECK_SAMPLES)
         ys = inner.realize_batch(xs)
         payload, aux = ys[:, : outer.net.input_dim], ys[:, outer.net.input_dim :]
         lo, hi = outer.enc.domain.lo, outer.enc.domain.hi

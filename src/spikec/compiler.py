@@ -18,13 +18,14 @@ approximate.
 All gadget delays are zero: delays only shift reference times and zero keeps
 the time bookkeeping minimal.  Compiled layers hold read-only weights and one
 zero-stride view for their delays, so the ReLU weight pair of a given width
-is built once and shared by every stage and every compile.
+is shared by every stage and every compile while some network still holds
+it, and freed with the last one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -204,24 +205,29 @@ def build_neuron_gadget(
     return concatenate(relu, aff, check_range=False)
 
 
-@lru_cache(maxsize=8)
+#: (m, aux_output, layer index) -> ReLU stage weights, kept while a network holds them.
+_RELU_WEIGHTS: WeakValueDictionary = WeakValueDictionary()
+
+
 def _relu_stage_weights(m: int, aux_output: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weights of the two ReLU layers of an m-output layer gadget.
+    """Weights of the two ReLU layers of an m-output layer gadget.
 
     Payload j enters at position P[j] = [0, 2, ..., m] and the timing neuron
     at 1.  In both layers payload P[j] feeds output j's slot (P[j] in the
     hidden layer, j in the output layer) with weight -1/2, and the timing or
     constant neuron at 1 feeds every neuron with weight 1, the constant
     hidden neuron and the optional re-export included.  The pair depends only
-    on (m, aux_output), so every stage and compile of that width shares it.
+    on (m, aux_output), so every stage and compile of that width shares it
+    for as long as some network still holds it.
     """
-    p = np.r_[0, 2 : m + 1]
-    hidden = np.zeros((m + 1, m + 1))
-    out = np.zeros((m + 1, m + int(aux_output)))
-    hidden[p, p] = out[p, np.arange(m)] = -0.5
-    hidden[1] = out[1] = 1.0
-    hidden.setflags(write=False)
-    out.setflags(write=False)
+    hidden, out = (_RELU_WEIGHTS.get((m, aux_output, i)) for i in (0, 1))
+    if hidden is None or out is None:
+        p = np.r_[0, 2 : m + 1]
+        hidden = np.zeros((m + 1, m + 1))
+        out = np.zeros((m + 1, m + int(aux_output)))
+        hidden[p, p] = out[p, np.arange(m)] = -0.5
+        hidden[1] = out[1] = 1.0
+        _RELU_WEIGHTS[m, aux_output, 0], _RELU_WEIGHTS[m, aux_output, 1] = hidden, out
     return hidden, out
 
 

@@ -8,9 +8,10 @@ strictly before the output fires.  On that region the firing time is
 
 with W = sum_{i in I} w_i > 0, and the region itself is cut out by linear
 inequalities: inputs outside I must arrive at or after t_v, inputs inside I
-strictly before.  Enumerating subsets and testing each inequality system for
-feasibility inside a box yields the exact region count; a finite-difference
-gradient clustering over a grid provides an independent empirical count.
+strictly before.  Enumerating subsets, building each one's d inequalities as
+one array and testing that system for feasibility inside a box yields the
+exact region count; a finite-difference gradient clustering over a grid
+provides an independent empirical count.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ MAX_ENUM_DIM = 20
 ZERO_NORMAL_TOL = 1e-12
 STRICT_EPS_SCALE = 1e-7
 CLUSTER_TOL = 1e-6
+MAX_DOUBLINGS = 40
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,12 @@ def _region_for_subset(
     offset = (theta + float(np.dot(w[idx], d[idx]))) / W
     inset = np.zeros(dim, dtype=bool)
     inset[idx] = True
-    hs = []
-    for k in range(dim):
-        if inset[k]:
-            e = np.zeros(dim)
-            e[k] = 1.0
-            hs.append(Halfspace(g - e, d[k] - offset, strict=True))
-        else:
-            e = np.zeros(dim)
-            e[k] = 1.0
-            hs.append(Halfspace(e - g, offset - d[k], strict=False))
-    return g, offset, tuple(hs)
+    # I - g rather than -(g - I), so zero entries stay +0.0.
+    eye = np.eye(dim)
+    normals = np.where(inset[:, None], g - eye, eye - g)
+    bounds = np.where(inset, d - offset, offset - d)
+    hs = tuple(Halfspace(n, b, bool(s)) for n, b, s in zip(normals, bounds, inset))
+    return g, offset, hs
 
 
 def halfspaces_feasible(halfspaces, box: Box) -> bool:
@@ -85,19 +82,15 @@ def halfspaces_feasible(halfspaces, box: Box) -> bool:
     constants.
     """
     eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
-    rows, rhs = [], []
-    for h in halfspaces:
-        margin = eps if h.strict else 0.0
-        if np.max(np.abs(h.normal)) < ZERO_NORMAL_TOL:
-            if h.bound + margin > 0:
-                return False
-            continue
-        # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
-        rows.append(-h.normal)
-        rhs.append(-(h.bound + margin))
-    if not rows:
-        return True
-    return feasible(np.array(rows), np.array(rhs), box.lo, box.hi)
+    # The reshape keeps an empty system two-dimensional.
+    normals = np.array([h.normal for h in halfspaces], dtype=float).reshape(-1, box.dim)
+    bounds = np.array([h.bound for h in halfspaces], dtype=float)
+    bounds += np.where([h.strict for h in halfspaces], eps, 0.0)
+    zero = np.max(np.abs(normals), axis=1) < ZERO_NORMAL_TOL
+    if np.any(bounds[zero] > 0):
+        return False
+    # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
+    return feasible(-normals[~zero], -bounds[~zero], box.lo, box.hi)
 
 
 def enumerate_regions(weights, delays, theta: float, box: Box) -> list[RegionDescriptor]:
@@ -136,29 +129,31 @@ def count_feasible(descriptors, box: Box) -> int:
     return sum(1 for r in descriptors if halfspaces_feasible(r.halfspaces, box))
 
 
-def stabilized_region_count(weights, delays, theta: float, max_doublings: int = 40) -> int:
+def stabilized_region_count(weights, delays, theta: float) -> int:
     """Feasible-region count over a box grown until the count stops changing.
 
-    Starts from a unit box around the delays and doubles its radius until
-    the count is identical across two consecutive doublings, which
-    operationalizes counting over a sufficiently large domain.
+    Starts from a unit box around the delays and doubles its radius, at most
+    MAX_DOUBLINGS times, until the count is identical across two consecutive
+    doublings, which operationalizes counting over a sufficiently large
+    domain.  The first box's count is read off the flags that
+    enumerate_regions computes for it.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     d = np.atleast_1d(np.asarray(delays, dtype=float))
     center = float(np.mean(d)) if d.size else 0.0
     radius = max(1.0, float(np.max(np.abs(d - center), initial=0.0)))
-    descriptors = None
+    box = Box.cube(center - radius, center + radius, w.size)
+    descriptors = enumerate_regions(w, d, theta, box)
+    cnt = sum(r.feasible_in_box for r in descriptors)
     prev = prev2 = -1
-    for _ in range(max_doublings):
-        box = Box.cube(center - radius, center + radius, w.size)
-        if descriptors is None:
-            descriptors = enumerate_regions(w, d, theta, box)
-        cnt = count_feasible(descriptors, box)
+    for _ in range(MAX_DOUBLINGS - 1):
         if cnt == prev == prev2:
-            return cnt
+            break
         prev2, prev = prev, cnt
         radius *= 2.0
-    return prev
+        box = Box.cube(center - radius, center + radius, w.size)
+        cnt = count_feasible(descriptors, box)
+    return cnt
 
 
 @dataclass(frozen=True)

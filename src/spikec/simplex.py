@@ -2,8 +2,8 @@
 
 Decides whether { x : A x <= b, lo <= x <= hi } is nonempty.  The systems
 that arise here have at most a few dozen rows and twenty variables, so a
-dense tableau with Bland's anti-cycling rule is entirely adequate and keeps
-the package free of solver dependencies.
+dense tableau with Bland's anti-cycling rule, each pivot one rank-1 update,
+is entirely adequate and keeps the package free of solver dependencies.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
 
+TOL = 1e-9
 
-def feasible(A, b, lo, hi, tol: float = 1e-9) -> bool:
+
+def feasible(A, b, lo, hi) -> bool:
     """True iff some x satisfies A x <= b and lo <= x <= hi.
 
     Works on the shifted variable y = x - lo with 0 <= y <= hi - lo; the
@@ -67,26 +69,22 @@ def feasible(A, b, lo, hi, tol: float = 1e-9) -> bool:
         cb = cost[basis]
         red = cb @ T[:, :ncols] - cost
         red[basis] = 0.0
-        entering = -1
-        for j in range(ncols):
-            if red[j] > tol:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(red > TOL)
+        if improving.size == 0:
             break
+        entering = improving[0]
         col = T[:, entering]
-        ratios = np.where(col > tol, T[:, -1] / np.where(col > tol, col, 1.0), np.inf)
+        ratios = np.where(col > TOL, T[:, -1] / np.where(col > TOL, col, 1.0), np.inf)
         if not np.any(np.isfinite(ratios)):
             break
         best = np.min(ratios)
         # Bland: among the tied minimum ratios pick the smallest basis index.
         cands = np.nonzero(ratios <= best + 1e-15)[0]
         leaving = cands[np.argmin(basis[cands])]
-        piv = T[leaving, entering]
-        T[leaving] /= piv
-        for i in range(mt):
-            if i != leaving and T[i, entering] != 0.0:
-                T[i] -= T[i, entering] * T[leaving]
+        f = T[:, entering].copy()
+        f[leaving] = 0.0
+        T[leaving] /= T[leaving, entering]
+        T -= np.outer(f, T[leaving])
         basis[leaving] = entering
     obj = float(cost[basis] @ T[:, -1])
-    return obj <= tol * max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
+    return obj <= TOL * max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)

@@ -1,6 +1,10 @@
 """Tests for the command-line interface and JSON file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,3 +201,12 @@ def test_non_integer_thread_count_is_bad_input(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert out["error"] == "bad-input"
     assert "SPIKEC_THREADS" in out["detail"]
+
+
+def test_package_and_cli_import_without_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys; sys.modules['scipy'] = None; import spikec, spikec.cli"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

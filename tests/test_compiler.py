@@ -1,5 +1,7 @@
 """Tests for the ReLU-to-spiking gadgets and the full compiler."""
 
+import gc
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -326,3 +328,13 @@ def test_two_kink_gadget_matches_minimal_ann_on_grid():
     got = g.realize_batch(xs)[:, 0]
     want = ann_batch(ann, xs)[:, 0]
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_relu_weights_are_freed_with_the_last_network():
+    rng = np.random.default_rng(31)
+    snn, _ = compile_ann(random_square_ann(rng, 13, 3), Box.cube(-1.0, 1.0, 13))
+    hidden = weakref.ref(snn.net.layers[1].weights)
+    assert hidden() is snn.net.layers[4].weights
+    del snn
+    gc.collect()
+    assert hidden() is None

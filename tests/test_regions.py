@@ -12,7 +12,13 @@ from spikec import (
     single_neuron_network,
     stabilized_region_count,
 )
-from spikec.regions import halfspaces_feasible
+from spikec.regions import (
+    STRICT_EPS_SCALE,
+    ZERO_NORMAL_TOL,
+    Halfspace,
+    halfspaces_feasible,
+)
+from spikec.simplex import feasible
 
 
 def random_nondegenerate_weights(rng, d):
@@ -170,3 +176,78 @@ def test_strict_halfspace_shrink_excludes_degenerate_regions():
     feas = {tuple(sorted(r.subset)) for r in descs if halfspaces_feasible(r.halfspaces, box)}
     assert (1,) in feas
     assert (0,) not in feas
+
+
+def region_for_subset_reference(subset, w, d, theta):
+    """The per-input loop that built a region's halfspaces before the array form."""
+    idx = np.asarray(subset)
+    W = float(w[idx].sum())
+    if W <= 0:
+        return None
+    dim = w.size
+    g = np.zeros(dim)
+    g[idx] = w[idx] / W
+    offset = (theta + float(np.dot(w[idx], d[idx]))) / W
+    inset = np.zeros(dim, dtype=bool)
+    inset[idx] = True
+    hs = []
+    for k in range(dim):
+        e = np.zeros(dim)
+        e[k] = 1.0
+        if inset[k]:
+            hs.append(Halfspace(g - e, d[k] - offset, strict=True))
+        else:
+            hs.append(Halfspace(e - g, offset - d[k], strict=False))
+    return g, offset, tuple(hs)
+
+
+def halfspaces_feasible_reference(halfspaces, box):
+    """The per-halfspace loop that unpacked a system before the array form."""
+    eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
+    rows, rhs = [], []
+    for h in halfspaces:
+        margin = eps if h.strict else 0.0
+        if np.max(np.abs(h.normal)) < ZERO_NORMAL_TOL:
+            if h.bound + margin > 0:
+                return False
+            continue
+        rows.append(-h.normal)
+        rhs.append(-(h.bound + margin))
+    if not rows:
+        return True
+    return feasible(np.array(rows), np.array(rhs), box.lo, box.hi)
+
+
+def test_array_form_matches_the_loop_references():
+    rng = np.random.default_rng(61)
+    zero_rows = {False: 0, True: 0}
+    for i in range(320):
+        d = 1 + i % 8
+        w = rng.normal(0.0, 1.0, d)
+        w[rng.random(d) < 0.2] = 0.0
+        delays = rng.uniform(0.0, 2.0, d) if i % 3 else np.zeros(d)
+        # A threshold far below the strict margin makes a singleton's
+        # zero-normal row infeasible.
+        theta = (1.0, 1e-9, 0.4)[i % 3]
+        r = float(rng.uniform(0.5, 12.0))
+        box = Box.cube(-r, r, d)
+        descs = iter(enumerate_regions(w, delays, theta, box))
+        for subset in _subsets(d):
+            want = region_for_subset_reference(subset, w, delays, theta)
+            if want is None:
+                continue
+            got = next(descs)
+            g, offset, hs = want
+            assert got.subset == frozenset(subset)
+            assert np.array_equal(got.gradient, g) and got.offset == offset
+            assert len(got.halfspaces) == len(hs)
+            for a, b in zip(got.halfspaces, hs):
+                assert np.array_equal(a.normal, b.normal)
+                assert np.array_equal(np.signbit(a.normal), np.signbit(b.normal))
+                assert a.bound == b.bound and a.strict is b.strict
+            flag = halfspaces_feasible_reference(hs, box)
+            assert got.feasible_in_box == flag
+            if len(subset) == 1:
+                zero_rows[flag] += 1
+        assert next(descs, None) is None
+    assert min(zero_rows.values()) > 0

@@ -66,3 +66,31 @@ def test_agrees_with_scipy_on_tight_systems():
         b = A @ x0 + slack
         lo, hi = -np.ones(n), np.ones(n)
         assert feasible(A, b, lo, hi) == scipy_feasible(A, b, lo, hi)
+
+
+def test_agrees_with_scipy_at_region_scale():
+    # Systems the size of a region's: 8-10 variables and 10-20 rows, so the
+    # simplex takes many pivots.  Feasible systems have a planted witness
+    # with slack at least MARGIN in every row and inside the box; infeasible
+    # ones violate a positive combination of their rows by MARGIN.
+    margin = 1e-3
+    rng = np.random.default_rng(1618)
+    truth = []
+    for i in range(200):
+        n = int(rng.integers(8, 11))
+        m = int(rng.integers(10, 21))
+        lo = rng.uniform(-4, 0, n)
+        hi = lo + rng.uniform(0.5, 6, n)
+        x0 = rng.uniform(lo + margin, hi - margin)
+        A = rng.uniform(-2, 2, (m, n))
+        b = A @ x0 + margin + rng.exponential(0.3, m) * (rng.random(m) < 0.7)
+        if i % 2:
+            y = rng.exponential(1.0, m - 1) * (rng.random(m - 1) < 0.5)
+            y[0] += 0.5
+            A[-1] = -y @ A[:-1]
+            b[-1] = -y @ b[:-1] - margin
+        want = not i % 2
+        assert feasible(A, b, lo, hi) == want
+        assert scipy_feasible(A, b, lo, hi) == want
+        truth.append(want)
+    assert sum(truth) == 100
