@@ -63,6 +63,8 @@ class Box:
 
     def grid(self, n_per_axis: int) -> np.ndarray:
         """Regular grid with n points per axis, shape (n**dim, dim)."""
+        if n_per_axis < 1:
+            raise InvalidParameterError("a grid needs at least one point per axis")
         axes = [np.linspace(self.lo[i], self.hi[i], n_per_axis) for i in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, IncompatibleNetworksError, InvalidParameterError
-from .snn_core import EncodingSpec, Layer, SpikingNetwork, realize_batch
+from .snn_core import EncodingSpec, Layer, SpikingNetwork, realize, realize_batch
 
 REF_TOL = 1e-9
 RANGE_CHECK_SAMPLES = 200
@@ -39,8 +39,6 @@ class TypedSNN:
             raise DimensionError("encoding domain dimension must match input_dim")
 
     def realize(self, x) -> np.ndarray:
-        from .snn_core import realize
-
         return realize(self.net, self.enc, x)
 
     def realize_batch(self, xs: np.ndarray) -> np.ndarray:

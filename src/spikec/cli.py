@@ -110,12 +110,16 @@ def cmd_verify(args) -> int:
     pts = snn.enc.domain.grid(args.grid)
     want = ann_forward(ann, pts)
 
-    if n_threads > 1 and pts.shape[0] >= 4 * n_threads:
-        chunks = np.array_split(pts, n_threads)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            got = np.vstack(list(pool.map(snn.realize_batch, chunks)))
-    else:
-        got = snn.realize_batch(pts)
+    try:
+        if n_threads > 1 and pts.shape[0] >= 4 * n_threads:
+            chunks = np.array_split(pts, n_threads)
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                got = np.vstack(list(pool.map(snn.realize_batch, chunks)))
+        else:
+            got = snn.realize_batch(pts)
+    except RealizationUndefinedError as e:
+        _emit({"error": "no-fire", "detail": str(e)})
+        return EXIT_NO_FIRE
 
     err = np.abs(got - want)
     per_point = err.max(axis=1)
@@ -246,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, SpikecError) as e:
+    except SpikecError as e:
         _emit({"error": "bad-input", "detail": str(e)})
         return EXIT_BAD_FILE
 

@@ -440,23 +440,21 @@ def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
     """Vectorized :func:`layer_forward` over a (batch, fan_in) time array.
 
     Never is represented by NaN in both directions.  Follows exactly the
-    prefix-scan acceptance rule of :func:`resolve_firing_time`; the two ways
-    of ordering arrivals below differ only in which synapses they scan, and
-    give the same result bit for bit.
+    prefix-scan acceptance rule of :func:`resolve_firing_time`: output j
+    sorts its arrivals ``times[:, src[j]] + d[j]`` and scans them with their
+    weights, gathered in sorted order from one table.  Either
 
-    - Shared order: when every delay is zero, all outputs see the same
-      arrival order, so each batch row is sorted once and every output scans
-      the whole fan-in in that order.  Used when the widest live column
-      covers at least half the fan-in (``2*k >= fan_in``).
-    - Per-output order: otherwise each output scans only its nonzero-weight
-      synapses, padded to the widest live column with weight 0 and arrival
-      +inf, and sorts them on its own.  A zero weight adds nothing to the
-      prefix sums, and its arrival only splits a segment whose candidate time
-      it cannot change, so skipping it does not change the result.
+    - ``src`` is one row of all inputs, read by every output, and table row
+      i holds input i's weights: used when every delay is zero and the widest
+      live column covers at least half the fan-in (``2*k >= fan_in``), so
+      each batch row is sorted once; or
+    - ``src`` row j lists output j's nonzero-weight synapses, padded to the
+      widest live column with weight 0 and arrival +inf, and the table holds
+      one weight per row.  A zero weight cannot move a candidate time, so
+      both give the same result bit for bit.
 
-    Either way all outputs of the layer are resolved at once, and the batch
-    is walked in chunks of rows so that every temporary holds at most
-    KERNEL_CHUNK_ELEMS elements, or one row's worth.
+    The batch is walked in chunks of rows so that every temporary holds at
+    most KERNEL_CHUNK_ELEMS elements, or one row's worth.
     """
     if times.ndim != 2 or times.shape[1] != layer.fan_in:
         raise DimensionError("batch times must have shape (batch, fan_in)")
@@ -467,33 +465,29 @@ def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
     k = int(counts.max(initial=0))
     if k == 0:
         return out
-    shared = 2 * k >= fan_in and not layer.delays.any()
-    if shared:
-        src, d, width = slice(None), 0.0, fan_in
-        # Outputs first, so that each output's weights in a row's arrival
-        # order are one contiguous gather.
-        w = np.ascontiguousarray(layer.weights.T)
+    if 2 * k >= fan_in and not layer.delays.any():
+        # Row i of the table holds input i's weight to every output.
+        src, d, table, row0 = np.arange(fan_in)[None], 0.0, layer.weights, 0
     else:
         # Column j's live inputs in input order, then padding: (fan_out, k).
         src = np.argsort(~live, axis=0, kind="stable")[:k].T
         cols = np.arange(fan_out)[:, None]
         pad = np.arange(k) >= counts[:, None]
-        w = np.where(pad, 0.0, layer.weights[src, cols])
         d = np.where(pad, np.inf, layer.delays[src, cols])
-        width = k
-    step = max(1, KERNEL_CHUNK_ELEMS // (fan_out * width))
+        # Row j*k + i of the table holds output j's weight from src[j, i].
+        table = np.where(pad, 0.0, layer.weights[src, cols]).reshape(-1, 1)
+        row0 = cols * k
+    step = max(1, KERNEL_CHUNK_ELEMS // (fan_out * src.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, batch, step):
             arr = times[lo : lo + step][:, src] + d
             arr[np.isnan(arr)] = np.inf
             order = np.argsort(arr, axis=-1, kind="stable")
             arr_s = np.take_along_axis(arr, order, axis=-1)
-            if shared:
-                # (rows, fan_out, fan_in): every output scans its row's order.
-                w_s = w[:, order].transpose(1, 0, 2)
-                arr_s = arr_s[:, None]
-            else:
-                w_s = w[cols, order]
+            # The gathered rows are (rows, 1, fan_in, fan_out) or (rows,
+            # fan_out, k, 1); with the last two axes swapped, both are one
+            # (rows, fan_out, scan) array.
+            w_s = table[row0 + order].swapaxes(-1, -2).reshape(len(arr), fan_out, -1)
             out[lo : lo + step] = _first_crossing(arr_s, w_s, layer.thresholds)
     return out
 

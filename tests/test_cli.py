@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikec import Box, EncodingSpec, TypedSNN, single_neuron_network
+from spikec import (
+    Box,
+    EncodingSpec,
+    InvalidParameterError,
+    Layer,
+    ReluNetwork,
+    SpikingNetwork,
+    TypedSNN,
+    single_neuron_network,
+)
 from spikec.cli import main
 from spikec.compiler import build_example_3_1, build_example_3_1_ann
 from spikec.serialization import (
@@ -140,6 +149,46 @@ def test_verify_dump_grid_writes_csv(capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "x1,ann1,snn1,err"
     assert len(lines) == 12
+
+
+def _never_firing_verify_files(tmp_path):
+    # Aux spike at 0 with weight 1, input x with weight -1: for x < 1 the
+    # input cancels the aux ramp before the potential reaches theta = 1.
+    layer = Layer(np.array([[-1.0], [1.0]]), np.zeros((2, 1)), np.array([1.0]))
+    net = SpikingNetwork(input_dim=1, layers=(layer,), aux_input_times=(0.0,))
+    snn_path, ann_path = tmp_path / "snn.json", tmp_path / "ann.json"
+    save_snn(snn_path, TypedSNN(net, EncodingSpec(0.0, 1.0, Box.cube(0, 2, 1))))
+    save_ann(ann_path, ReluNetwork(((np.array([[1.0]]), np.array([0.0])),)))
+    return str(ann_path), str(snn_path)
+
+
+def test_verify_never_firing_snn_is_no_fire(capsys, tmp_path, monkeypatch):
+    ann_path, snn_path = _never_firing_verify_files(tmp_path)
+    # One thread evaluates inline; two split the 9 points over the pool.
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPIKEC_THREADS", threads)
+        code, out = run_cli(
+            capsys, "verify", "--ann", ann_path, "--snn", snn_path, "--grid", "9"
+        )
+        assert code == 2
+        assert out["error"] == "no-fire"
+
+
+def test_verify_nonpositive_grid_is_bad_input(capsys, tmp_path):
+    ann_path = tmp_path / "ann.json"
+    snn_path = tmp_path / "snn.json"
+    save_ann(ann_path, build_example_3_1_ann(1.0))
+    assert main(["compile", "--ann", str(ann_path), "--domain=-3,3", "-o", str(snn_path)]) == 0
+    capsys.readouterr()
+    for grid in ("0", "-3"):
+        code, out = run_cli(
+            capsys, "verify", "--ann", str(ann_path), "--snn", str(snn_path), "--grid", grid
+        )
+        assert code == 1
+        assert out["error"] == "bad-input"
+    with pytest.raises(InvalidParameterError):
+        Box.cube(0, 1, 2).grid(0)
+    assert Box.cube(0, 1, 2).grid(1).shape == (1, 2)
 
 
 def test_regions_command(capsys, tmp_path):

@@ -9,6 +9,7 @@ from spikec import (
     count_feasible,
     empirical_region_count,
     enumerate_regions,
+    resolve_firing_time,
     single_neuron_network,
     stabilized_region_count,
 )
@@ -251,3 +252,34 @@ def test_array_form_matches_the_loop_references():
                 zero_rows[flag] += 1
         assert next(descs, None) is None
     assert min(zero_rows.values()) > 0
+
+
+def test_every_positive_subset_is_a_region_over_all_of_r_d():
+    # Over all of R^d every subset I with a positive, finite-quotient weight
+    # sum W_I is a region: with I's inputs arriving at 0 and the others at
+    # theta/W_I + 1, the neuron fires at theta/W_I on exactly I.  So the
+    # count over R^d is the number of such subsets, and needs no LP.
+    rng = np.random.default_rng(71)
+    for i in range(40):
+        d = 1 + i % 8
+        w = rng.normal(0.0, 1.0, d)
+        delays = rng.uniform(0.0, 2.0, d)
+        theta = float(rng.uniform(0.3, 2.0))
+        descs = enumerate_regions(w, delays, theta, Box.cube(-1, 1, d))
+        by_subset = {r.subset: r for r in descs}
+        positive = []
+        for subset in _subsets(d):
+            W = w[list(subset)].sum()
+            if not (W > 0 and np.isfinite(theta / W)):
+                continue
+            positive.append(frozenset(subset))
+            arrivals = np.where(np.isin(np.arange(d), subset), 0.0, theta / W + 1.0)
+            cert = resolve_firing_time(list(zip(arrivals, w)), theta)
+            assert cert.contributing == frozenset(subset)
+            # The region's affine map gives the same time at the input times.
+            r = by_subset[frozenset(subset)]
+            t = r.gradient @ (arrivals - delays) + r.offset
+            assert t == pytest.approx(cert.firing_time.time, rel=1e-9, abs=1e-12)
+        assert set(by_subset) == set(positive)
+        if i % 8 in (3, 4, 5):
+            assert stabilized_region_count(w, delays, theta) <= len(positive)
