@@ -1,8 +1,8 @@
 """Command-line interface: simulate, compile, verify, regions, oracle.
 
-Exit codes: 0 success; 1 malformed input file; 2 an output neuron never
-fires; 3 input outside the declared domain; 4 differential verification
-failed.
+Exit codes: 0 success; 1 malformed input file or argument; 2 an output
+neuron never fires; 3 input outside the declared domain; 4 differential
+verification failed.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ def _emit(obj) -> None:
 
 def _parse_csv(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        values = np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError as e:
         raise FileFormatError(f"bad numeric list {text!r}: {e}") from e
+    if not np.all(np.isfinite(values)):
+        raise FileFormatError(f"non-finite value in numeric list {text!r}")
+    return values
 
 
 def cmd_simulate(args) -> int:
@@ -71,7 +74,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_compile(args) -> int:
     ann = load_ann(args.ann)
-    a, b = _parse_csv(args.domain)
+    bounds = _parse_csv(args.domain)
+    if bounds.size != 2:
+        raise FileFormatError(f"domain needs exactly two values \"a,b\", got {args.domain!r}")
+    a, b = bounds
     domain = Box.cube(a, b, ann.input_dim)
     compiled, report = compile_ann(ann, domain)
     save_snn(args.output, compiled)
@@ -104,6 +110,8 @@ def _thread_count() -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.tol >= 0:
+        raise InvalidParameterError(f"--tol must be a non-negative number, got {args.tol}")
     n_threads = _thread_count()
     ann = load_ann(args.ann)
     snn = load_snn(args.snn)

@@ -8,22 +8,23 @@ strictly before the output fires.  On that region the firing time is
 
 with W = sum_{i in I} w_i > 0, and the region itself is cut out by linear
 inequalities: inputs outside I must arrive at or after t_v, inputs inside I
-strictly before.  Enumerating subsets, building each one's d inequalities as
-one array and testing that system for feasibility inside a box yields the
-exact region count; a finite-difference gradient clustering over a grid
-provides an independent empirical count.
+strictly before.  Subsets are taken a chunk at a time: the chunk's
+inequalities are built as one (subsets, d, d) array and all of its systems
+are decided by one stacked simplex call, which yields the exact region count
+inside a box.  A finite-difference gradient clustering over a grid provides
+an independent empirical count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, groupby, islice
 
 import numpy as np
 
 from .boxes import Box
 from .errors import DimensionError, InvalidParameterError
-from .simplex import feasible
+from .simplex import chunk_size, feasible
 from .snn_core import SpikingNetwork, network_forward_batch
 
 MAX_ENUM_DIM = 20
@@ -53,48 +54,82 @@ class RegionDescriptor:
     feasible_in_box: bool
 
 
-def _region_for_subset(
-    subset: tuple[int, ...], w: np.ndarray, d: np.ndarray, theta: float
-) -> tuple[np.ndarray, float, tuple[Halfspace, ...]] | None:
-    idx = np.asarray(subset)
-    W = float(w[idx].sum())
-    if W <= 0:
-        return None
-    dim = w.size
-    g = np.zeros(dim)
-    g[idx] = w[idx] / W
-    offset = (theta + float(np.dot(w[idx], d[idx]))) / W
-    inset = np.zeros(dim, dtype=bool)
-    inset[idx] = True
-    # I - g rather than -(g - I), so zero entries stay +0.0.
-    eye = np.eye(dim)
-    normals = np.where(inset[:, None], g - eye, eye - g)
-    bounds = np.where(inset, d - offset, offset - d)
-    hs = tuple(Halfspace(n, b, bool(s)) for n, b, s in zip(normals, bounds, inset))
-    return g, offset, hs
+def _systems_feasible(normals, bounds, strict, box: Box) -> np.ndarray:
+    """Interior-point feasibility of a stack of halfspace systems in a box.
+
+    ``normals`` is (systems, rows, dim); ``bounds`` and ``strict`` are
+    (systems, rows).  Strict inequalities are shrunk by a small margin
+    proportional to the box diameter.  A row with a (numerically) zero normal
+    is decided as a constant, and then reaches the simplex as 0 <= 0.
+    """
+    eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
+    bounds = bounds + np.where(strict, eps, 0.0)
+    zero = np.max(np.abs(normals), axis=2, initial=0.0) < ZERO_NORMAL_TOL
+    flags = ~np.any(zero & (bounds > 0), axis=1)
+    if np.any(flags):
+        # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
+        A, b, zero = normals[flags], bounds[flags], zero[flags]
+        np.negative(A, out=A)
+        np.negative(b, out=b)
+        A[zero] = 0.0
+        b[zero] = 0.0
+        flags[flags] = feasible(A, b, box.lo, box.hi)
+    return flags
+
+
+def _stack(systems, dim: int):
+    """Normals, bounds and strict flags of equally long halfspace systems."""
+    shape = (len(systems), len(systems[0]))
+    normals = np.array([[h.normal for h in s] for s in systems], dtype=float)
+    bounds = np.array([[h.bound for h in s] for s in systems], dtype=float)
+    strict = np.array([[h.strict for h in s] for s in systems], dtype=bool)
+    return normals.reshape(*shape, dim), bounds.reshape(shape), strict.reshape(shape)
 
 
 def halfspaces_feasible(halfspaces, box: Box) -> bool:
-    """Interior-point feasibility of a halfspace system inside a box.
+    """Interior-point feasibility of one halfspace system inside a box."""
+    return bool(_systems_feasible(*_stack([halfspaces], box.dim), box)[0])
 
-    Strict inequalities are shrunk by a small margin proportional to the box
-    diameter; constraints with a (numerically) zero normal are decided as
-    constants.
+
+def _regions_for_subsets(subsets: list[tuple[int, ...]], w, d, theta: float):
+    """Affine maps and inequalities of a chunk of subsets, given in order of
+    size, dropping those with a non-positive weight sum.
+
+    Weight sums and dot products reduce over each subset's own entries, one
+    size at a time, as the per-subset formulas do, so every value is what
+    they give.
     """
-    eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
-    # The reshape keeps an empty system two-dimensional.
-    normals = np.array([h.normal for h in halfspaces], dtype=float).reshape(-1, box.dim)
-    bounds = np.array([h.bound for h in halfspaces], dtype=float)
-    bounds += np.where([h.strict for h in halfspaces], eps, 0.0)
-    zero = np.max(np.abs(normals), axis=1) < ZERO_NORMAL_TOL
-    if np.any(bounds[zero] > 0):
-        return False
-    # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
-    return feasible(-normals[~zero], -bounds[~zero], box.lo, box.hi)
+    inset = np.zeros((len(subsets), w.size), dtype=bool)
+    W, dots, start = [], [], 0
+    for _, group in groupby(subsets, len):
+        idx = np.array(list(group))
+        inset[start + np.arange(len(idx))[:, None], idx] = True
+        W.append(w[idx].sum(axis=1))
+        dots.append(np.matmul(w[idx][:, None, :], d[idx][:, :, None])[:, 0, 0])
+        start += len(idx)
+    W, dots = np.concatenate(W), np.concatenate(dots)
+    keep = W > 0
+    subsets = list(compress(subsets, keep))
+    inset, W = inset[keep], W[keep]
+    offset = (theta + dots[keep]) / W
+    g = np.zeros(inset.shape)
+    rows, cols = np.nonzero(inset)
+    g[rows, cols] = w[cols] / W[rows]
+    # I - g rather than -(g - I), so zero entries stay +0.0.
+    eye = np.eye(w.size)
+    normals = np.subtract(eye, g[:, None, :])
+    np.subtract(g[:, None, :], eye, out=normals, where=inset[:, :, None])
+    bounds = np.where(inset, d - offset[:, None], offset[:, None] - d)
+    return subsets, g, offset, normals, bounds, inset
 
 
 def enumerate_regions(weights, delays, theta: float, box: Box) -> list[RegionDescriptor]:
-    """All candidate regions (nonempty subsets with positive weight sum)."""
+    """All candidate regions (nonempty subsets with positive weight sum).
+
+    Subsets come in order of size, then lexicographically.  They are built
+    and decided a chunk at a time, so working memory does not grow with
+    the 2^d subsets.
+    """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     d = np.atleast_1d(np.asarray(delays, dtype=float))
     if w.shape != d.shape or w.ndim != 1:
@@ -105,28 +140,42 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> list[RegionDes
         raise InvalidParameterError(f"subset enumeration limited to d <= {MAX_ENUM_DIM}")
     if box.dim != w.size:
         raise DimensionError("box dimension must match the number of inputs")
+    all_subsets = chain.from_iterable(
+        combinations(range(w.size), r) for r in range(1, w.size + 1)
+    )
+    step = chunk_size(w.size, w.size)
     out = []
-    for r in range(1, w.size + 1):
-        for subset in combinations(range(w.size), r):
-            built = _region_for_subset(subset, w, d, theta)
-            if built is None:
-                continue
-            g, offset, hs = built
+    while chunk := list(islice(all_subsets, step)):
+        subsets, g, offset, normals, bounds, inset = _regions_for_subsets(chunk, w, d, theta)
+        flags = _systems_feasible(normals, bounds, inset, box)
+        for i, subset in enumerate(subsets):
             out.append(
                 RegionDescriptor(
                     subset=frozenset(subset),
-                    gradient=g,
-                    offset=offset,
-                    halfspaces=hs,
-                    feasible_in_box=halfspaces_feasible(hs, box),
+                    gradient=g[i],
+                    offset=float(offset[i]),
+                    halfspaces=tuple(
+                        map(Halfspace, normals[i], bounds[i].tolist(), inset[i].tolist())
+                    ),
+                    feasible_in_box=bool(flags[i]),
                 )
             )
     return out
 
 
 def count_feasible(descriptors, box: Box) -> int:
-    """Number of descriptors whose region meets the interior of the box."""
-    return sum(1 for r in descriptors if halfspaces_feasible(r.halfspaces, box))
+    """Number of descriptors whose region meets the interior of the box.
+
+    The descriptors' systems are stacked and decided a chunk at a time.
+    """
+    descriptors = list(descriptors)
+    step = chunk_size(box.dim, box.dim)
+    return sum(
+        int(np.sum(_systems_feasible(
+            *_stack([r.halfspaces for r in descriptors[s : s + step]], box.dim), box
+        )))
+        for s in range(0, len(descriptors), step)
+    )
 
 
 def stabilized_region_count(weights, delays, theta: float) -> int:

@@ -259,3 +259,40 @@ def test_package_and_cli_import_without_scipy():
     code = "import sys; sys.modules['scipy'] = None; import spikec, spikec.cli"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_compile_domain_needs_exactly_two_values(capsys, tmp_path):
+    ann_path = tmp_path / "ann.json"
+    snn_path = tmp_path / "snn.json"
+    save_ann(ann_path, build_example_3_1_ann(1.0))
+    for domain in ("--domain=1", "--domain=-3,0,3"):
+        code, out = run_cli(capsys, "compile", "--ann", str(ann_path), domain, "-o", str(snn_path))
+        assert code == 1
+        assert out["error"] == "bad-input"
+    assert not snn_path.exists()
+
+
+def test_simulate_non_finite_input_is_bad_input(capsys, two_kink_file):
+    for text in ("nan,0.2", "inf", "0,-inf"):
+        code = main(["simulate", "--network", two_kink_file, "--input", text])
+        raw = capsys.readouterr().out
+        # The whole output must be valid JSON, with no bare NaN token.
+        out = json.loads(raw, parse_constant=lambda c: pytest.fail(f"bare {c} in {raw}"))
+        assert code == 1
+        assert out["error"] == "bad-input"
+
+
+def test_verify_nan_or_negative_tol_is_bad_input(capsys, tmp_path):
+    ann_path = tmp_path / "ann.json"
+    snn_path = tmp_path / "snn.json"
+    save_ann(ann_path, build_example_3_1_ann(1.0))
+    assert main(["compile", "--ann", str(ann_path), "--domain=-3,3", "-o", str(snn_path)]) == 0
+    capsys.readouterr()
+    for tol in ("nan", "-1e-9"):
+        code, out = run_cli(
+            capsys, "verify", "--ann", str(ann_path), "--snn", str(snn_path),
+            "--grid", "5", f"--tol={tol}",
+        )
+        assert code == 1
+        assert out["error"] == "bad-input"
+        assert "--tol" in out["detail"]

@@ -1,5 +1,8 @@
 """Tests for linear-region enumeration, counting and the grid oracle."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,9 @@ from spikec.regions import (
     Halfspace,
     halfspaces_feasible,
 )
+from spikec import simplex
 from spikec.simplex import feasible
+from test_simplex import feasible_reference
 
 
 def random_nondegenerate_weights(rng, d):
@@ -283,3 +288,109 @@ def test_every_positive_subset_is_a_region_over_all_of_r_d():
         assert set(by_subset) == set(positive)
         if i % 8 in (3, 4, 5):
             assert stabilized_region_count(w, delays, theta) <= len(positive)
+
+
+def loop_flag(halfspaces, box):
+    """One system through the per-halfspace unpacking and the per-system
+    simplex loop, as regions were decided before systems were stacked."""
+    eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
+    rows, rhs = [], []
+    for h in halfspaces:
+        margin = eps if h.strict else 0.0
+        if np.max(np.abs(h.normal)) < ZERO_NORMAL_TOL:
+            if h.bound + margin > 0:
+                return False
+            continue
+        rows.append(-h.normal)
+        rhs.append(-(h.bound + margin))
+    if not rows:
+        return True
+    return feasible_reference(np.array(rows), np.array(rhs), box.lo, box.hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_neurons():
+    """40 seeded neurons (d <= 8, uneven boxes, thresholds from 1e-9 to 2)
+    with the per-system loop's flags in their box and in a wider one."""
+    rng = np.random.default_rng(83)
+    cases = []
+    for i in range(40):
+        d = 1 + i % 8
+        w = rng.normal(0.0, 1.0, d)
+        w[rng.random(d) < 0.15] = 0.0
+        delays = rng.uniform(0.0, 2.0, d)
+        theta = (1.0, 1e-9, 0.5, 2.0)[i % 4]
+        lo = rng.uniform(-6.0, 1.0, d)
+        box = Box(lo, lo + rng.uniform(0.2, 8.0, d))
+        wide = Box(box.lo - 10.0, box.hi + 10.0)
+        descs = enumerate_regions(w, delays, theta, box)
+        flags = [loop_flag(r.halfspaces, box) for r in descs]
+        wide_flags = [loop_flag(r.halfspaces, wide) for r in descs]
+        cases.append((w, delays, theta, box, wide, flags, wide_flags))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [None, 1, 999])
+def test_stacked_region_flags_match_the_per_system_loop(monkeypatch, budget):
+    # budget 1 decides one subset per simplex call; 999 cuts the stacks at
+    # odd places.
+    if budget is not None:
+        monkeypatch.setattr(simplex, "CHUNK_ELEMS", budget)
+    both = {False: 0, True: 0}
+    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
+        descs = enumerate_regions(w, delays, theta, box)
+        assert [r.feasible_in_box for r in descs] == flags
+        assert count_feasible(descs, box) == sum(flags)
+        assert count_feasible(descs, wide) == sum(wide_flags)
+        if budget is None:
+            assert [halfspaces_feasible(r.halfspaces, box) for r in descs] == flags
+        for f in flags:
+            both[f] += 1
+    assert min(both.values()) > 100
+
+
+#: A 10-input neuron from the regions-d10 benchmark on which the box doubling
+#: stops early: it reads 80 of its 81 positive-sum subsets.
+UNDERCOUNT_WEIGHTS = [
+    1.101262453505847, 0.3384312766461778, -0.5399715152535035, -1.2602418568524327,
+    -1.8946212698392553, 0.018638290983285614, -0.8105670995116028,
+    -0.8721559599345132, -0.22196950708389104, -0.05184602813201771,
+]
+UNDERCOUNT_DELAYS = [
+    0.6041458545639301, 0.08373669468714318, 0.9977636809229765, 0.8323461245007039,
+    0.03677735766732482, 0.5675398131484446, 0.6093401370451035,
+    0.006926579514268227, 0.17908387391323455, 0.1649222135263957,
+]
+
+
+def test_stabilized_counts_of_raw_gaussian_neurons_are_pinned():
+    # The counts of the per-system loop, short ones included (seed 7 has
+    # 189 positive-sum subsets).  Fixing the undercount changes them.
+    got = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(0.0, 1.0, 10)
+        got.append(stabilized_region_count(w, rng.uniform(0.0, 1.0, 10), 1.0))
+    assert got == [646, 865, 503, 417, 293, 558, 926, 186, 117, 304]
+    assert stabilized_region_count(UNDERCOUNT_WEIGHTS, UNDERCOUNT_DELAYS, 1.0) == 80
+
+
+def test_enumeration_working_memory_does_not_grow_with_the_subsets():
+    # Subsets are built and decided a chunk at a time: beyond the
+    # descriptors it returns, enumeration holds about two chunks of
+    # tableaux, whether there are 255 subsets or 4095.
+    def transient(d):
+        rng = np.random.default_rng(d)
+        w, delays = rng.uniform(0.1, 1.0, d), rng.uniform(0.0, 1.0, d)
+        tracemalloc.start()
+        try:
+            descs = enumerate_regions(w, delays, 1.0, Box.cube(-4, 4, d))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(descs) == 2**d - 1
+        return peak - retained
+
+    small, large = transient(8), transient(12)
+    assert large <= 1.5 * small + 65536
+    assert large <= 4 * simplex.CHUNK_ELEMS * 8

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from spikec.simplex import feasible
+from spikec import simplex
+from spikec.errors import DimensionError
+from spikec.simplex import TOL, feasible
 
 
 def scipy_feasible(A, b, lo, hi):
@@ -94,3 +96,153 @@ def test_agrees_with_scipy_at_region_scale():
         assert scipy_feasible(A, b, lo, hi) == want
         truth.append(want)
     assert sum(truth) == 100
+
+
+# ---------------------------------------------------------------------------
+# Stacked systems
+# ---------------------------------------------------------------------------
+
+
+def feasible_reference(A, b, lo, hi):
+    """The per-system phase-one loop that decided one system per call
+    before systems were stacked: full artificial columns, reduced costs
+    recomputed from the basis every pivot."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    m, n = A.shape
+    if np.any(hi < lo):
+        return False
+    u = hi - lo
+    rows = np.vstack([A, np.eye(n)])
+    rhs = np.concatenate([b - A @ lo, u])
+    mt = rows.shape[0]
+    neg = rhs < 0
+    rows = np.where(neg[:, None], -rows, rows)
+    slack_sign = np.where(neg, -1.0, 1.0)
+    rhs = np.abs(rhs)
+    art_rows = np.nonzero(neg)[0]
+    k = art_rows.size
+    if k == 0:
+        return True
+    ncols = n + mt + k
+    T = np.zeros((mt, ncols + 1))
+    T[:, :n] = rows
+    T[np.arange(mt), n + np.arange(mt)] = slack_sign
+    T[art_rows, n + mt + np.arange(k)] = 1.0
+    T[:, -1] = rhs
+    basis = n + np.arange(mt)
+    basis[art_rows] = n + mt + np.arange(k)
+    cost = np.zeros(ncols)
+    cost[n + mt :] = 1.0
+    for _ in range(200 * (ncols + 1)):
+        red = cost[basis] @ T[:, :ncols] - cost
+        red[basis] = 0.0
+        improving = np.flatnonzero(red > TOL)
+        if improving.size == 0:
+            break
+        entering = improving[0]
+        col = T[:, entering]
+        ratios = np.where(col > TOL, T[:, -1] / np.where(col > TOL, col, 1.0), np.inf)
+        if not np.any(np.isfinite(ratios)):
+            break
+        cands = np.nonzero(ratios <= np.min(ratios) + 1e-15)[0]
+        leaving = cands[np.argmin(basis[cands])]
+        f = T[:, entering].copy()
+        f[leaving] = 0.0
+        T[leaving] /= T[leaving, entering]
+        T -= np.outer(f, T[leaving])
+        basis[leaving] = entering
+    obj = float(cost[basis] @ T[:, -1])
+    return obj <= TOL * max(1.0, float(np.max(np.abs(rhs))))
+
+
+def random_stack(rng, size, m, n):
+    """A stack of systems of one shape that mixes every special case: rows
+    that need no artificial, zero rows with either sign of right-hand side,
+    empty boxes and point boxes."""
+    A = rng.uniform(-2, 2, (size, m, n))
+    b = rng.uniform(-1.5, 1.5, (size, m))
+    lo = rng.uniform(-2, 0, (size, n))
+    hi = lo + rng.uniform(0.1, 3, (size, n))
+    kind = rng.integers(0, 6, size)
+    # 1: every row slack at lo, so no row needs an artificial.
+    b[kind == 1] = (A @ lo[:, :, None])[kind == 1, :, 0] + 0.5
+    if m:
+        # 2: a zero row, with a right-hand side of either sign.
+        A[kind == 2, 0] = 0.0
+        b[kind == 2, 0] = rng.choice([-0.5, 0.0, 0.5], np.sum(kind == 2))
+    # 3: hi < lo in one coordinate.
+    hi[kind == 3, 0] = lo[kind == 3, 0] - 0.25
+    # 4: a point box.
+    hi[kind == 4] = lo[kind == 4]
+    return A, b, lo, hi
+
+
+def _assert_stack_matches(A, b, lo, hi):
+    got = feasible(A, b, lo, hi)
+    assert got.dtype == bool and got.shape == (A.shape[0],)
+    one = [feasible(A[i], b[i], lo[i], hi[i]) for i in range(A.shape[0])]
+    ref = [feasible_reference(A[i], b[i], lo[i], hi[i]) for i in range(A.shape[0])]
+    assert all(type(x) is bool for x in one)
+    assert got.tolist() == one == ref
+    return got
+
+
+@pytest.mark.parametrize("budget", [None, 1, 1001])
+def test_stacked_call_matches_single_systems_and_reference(monkeypatch, budget):
+    # budget 1 solves one system at a time; 1001 splits stacks at odd
+    # counts that depend on the shape.
+    if budget is not None:
+        monkeypatch.setattr(simplex, "CHUNK_ELEMS", budget)
+    rng = np.random.default_rng(577)
+    seen = np.zeros(2, dtype=int)
+    for m, n in [(0, 1), (0, 3), (1, 1), (3, 2), (6, 4), (10, 10), (12, 6)]:
+        A, b, lo, hi = random_stack(rng, 60, m, n)
+        got = _assert_stack_matches(A, b, lo, hi)
+        seen += np.bincount(got, minlength=2)
+    assert min(seen) > 40
+
+
+def test_stack_shares_one_box_or_takes_one_per_system():
+    rng = np.random.default_rng(5)
+    A, b, lo, hi = random_stack(rng, 30, 5, 3)
+    shared = feasible(A, b, lo[0], hi[0])
+    per_system = feasible(A, b, np.tile(lo[0], (30, 1)), np.tile(hi[0], (30, 1)))
+    assert shared.tolist() == per_system.tolist()
+    assert feasible(A[:0], b[:0], lo[0], hi[0]).shape == (0,)
+    with pytest.raises(DimensionError):
+        feasible(A, b[:-1], lo[0], hi[0])
+    with pytest.raises(DimensionError):
+        feasible(A, b, lo[:-1], hi[:-1])
+
+
+def test_stacked_call_agrees_with_scipy_at_region_scale():
+    # The 200 systems of test_agrees_with_scipy_at_region_scale, padded to
+    # one shape and decided in one call: extra rows are 0 <= 0 and extra
+    # variables have zero coefficients.
+    margin = 1e-3
+    rng = np.random.default_rng(1618)
+    size, m_max, n_max = 200, 20, 10
+    A = np.zeros((size, m_max, n_max))
+    b = np.zeros((size, m_max))
+    lo, hi = np.zeros((size, n_max)), np.ones((size, n_max))
+    want = []
+    for i in range(size):
+        n = int(rng.integers(8, 11))
+        m = int(rng.integers(10, 21))
+        lo_i = rng.uniform(-4, 0, n)
+        hi_i = lo_i + rng.uniform(0.5, 6, n)
+        x0 = rng.uniform(lo_i + margin, hi_i - margin)
+        A_i = rng.uniform(-2, 2, (m, n))
+        b_i = A_i @ x0 + margin + rng.exponential(0.3, m) * (rng.random(m) < 0.7)
+        if i % 2:
+            y = rng.exponential(1.0, m - 1) * (rng.random(m - 1) < 0.5)
+            y[0] += 0.5
+            A_i[-1] = -y @ A_i[:-1]
+            b_i[-1] = -y @ b_i[:-1] - margin
+        assert scipy_feasible(A_i, b_i, lo_i, hi_i) == (not i % 2)
+        A[i, :m, :n], b[i, :m], lo[i, :n], hi[i, :n] = A_i, b_i, lo_i, hi_i
+        want.append(not i % 2)
+    assert feasible(A, b, lo, hi).tolist() == want
