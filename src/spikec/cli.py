@@ -211,8 +211,16 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a SpikecError, so that it is bad-input with
+    exit 1 like any other malformed argument; subparsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="spikec",
         description="Simulate, compile, verify and analyze single-spike "
         "temporally coded spiking networks.",
@@ -255,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SpikecError as e:
         _emit({"error": "bad-input", "detail": str(e)})

@@ -8,11 +8,17 @@ strictly before the output fires.  On that region the firing time is
 
 with W = sum_{i in I} w_i > 0, and the region itself is cut out by linear
 inequalities: inputs outside I must arrive at or after t_v, inputs inside I
-strictly before.  Subsets are taken a chunk at a time: the chunk's
-inequalities are built as one (subsets, d, d) array and all of its systems
-are decided by one stacked simplex call, which yields the exact region count
-inside a box.  A finite-difference gradient clustering over a grid provides
-an independent empirical count.
+strictly before.  Subsets are taken a chunk at a time, and the chunk's
+inequalities are built as one (subsets, d, d) array.  Each system is first
+tried at one closed-form point, with every input of I arriving at once, as
+early as the box allows, and every other input at the box's upper end; a
+system that point satisfies is feasible.  The simplex decides only the
+rest, all of a chunk's in one stacked call.  In a box big enough to hold
+the regions the point decides nearly all of them.  This yields the exact
+region count inside a box.  Descriptors keep their inequalities as row
+views of the chunk's arrays and build Halfspace objects only when asked.
+A finite-difference gradient clustering over a grid provides an
+independent empirical count.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import DimensionError, InvalidParameterError
-from .simplex import chunk_size, feasible
+from .simplex import CHUNK_ELEMS, feasible
 from .snn_core import SpikingNetwork, network_forward_batch
 
 MAX_ENUM_DIM = 20
@@ -45,50 +51,102 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class RegionDescriptor:
-    """One candidate linear region: its subset, affine map and inequalities."""
+    """One candidate linear region: its subset, affine map and inequalities.
+
+    Row k of the region's system is ``normals[k] . t >= bounds[k]``, strict
+    where ``strict[k]``; the three arrays are row views of the arrays that
+    enumerate_regions builds for a whole chunk of subsets.  ``halfspaces``
+    gives the same rows as Halfspace objects, built when asked.
+    """
 
     subset: frozenset[int]
     gradient: np.ndarray
     offset: float
-    halfspaces: tuple[Halfspace, ...]
+    normals: np.ndarray
+    bounds: np.ndarray
+    strict: np.ndarray
     feasible_in_box: bool
+
+    @property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        return tuple(map(Halfspace, self.normals, self.bounds.tolist(), self.strict.tolist()))
+
+
+def _witness(normals, bounds, strict, box: Box):
+    """One closed-form point per system, and whether it satisfies the system.
+
+    On the strict rows t_k = max_i (lo_i + b_i) - b_k, the maximum taken
+    over the strict rows, and never below lo_k; on the other rows
+    t_k = hi_k.  On a region's system, where b_k = d_k - offset on the
+    strict rows, every input of the subset then arrives at one time, the
+    earliest the box allows, and every other input at the box's upper end.
+    The point is checked against the system the simplex would get: inside
+    the box, and every row's slack >= 0 with the strict margin added, a row
+    with a (numerically) zero normal being decided as a constant.  A system
+    without a strict row has no such point and is never satisfied here.
+    Needs one row per input; returns the (systems, dim) points and the
+    (systems,) flags.
+    """
+    has = np.any(strict, axis=1)
+    lead = np.max(np.where(strict, box.lo + bounds, -np.inf), axis=1)
+    # (lo_k + b_k) - b_k can round to just below lo_k.
+    t = np.where(strict, np.maximum(lead[:, None] - bounds, box.lo), box.hi)
+    need, zero = _margins(normals, bounds, strict, box)
+    slack = np.matmul(normals, t[:, :, None])[:, :, 0] - need
+    ok = np.where(zero, need <= 0, slack >= 0)
+    inside = (t >= box.lo) & (t <= box.hi)
+    return t, has & np.all(ok & inside, axis=1)
+
+
+def _margins(normals, bounds, strict, box: Box):
+    """Bounds with the margin that shrinks the strict rows, proportional to
+    the box diameter, and the rows with a (numerically) zero normal."""
+    eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
+    zero = np.max(np.abs(normals), axis=2, initial=0.0) < ZERO_NORMAL_TOL
+    return bounds + np.where(strict, eps, 0.0), zero
 
 
 def _systems_feasible(normals, bounds, strict, box: Box) -> np.ndarray:
     """Interior-point feasibility of a stack of halfspace systems in a box.
 
     ``normals`` is (systems, rows, dim); ``bounds`` and ``strict`` are
-    (systems, rows).  Strict inequalities are shrunk by a small margin
-    proportional to the box diameter.  A row with a (numerically) zero normal
-    is decided as a constant, and then reaches the simplex as 0 <= 0.
+    (systems, rows).  A system whose closed-form point (_witness) satisfies
+    it is feasible; the others go to the simplex, with the strict rows
+    shrunk by the same margin.  A row with a zero normal is decided as a
+    constant, and then reaches the simplex as 0 <= 0.
     """
-    eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
-    bounds = bounds + np.where(strict, eps, 0.0)
-    zero = np.max(np.abs(normals), axis=2, initial=0.0) < ZERO_NORMAL_TOL
-    flags = ~np.any(zero & (bounds > 0), axis=1)
-    if np.any(flags):
+    # The point needs one row per input.
+    square = normals.shape[1] == box.dim
+    flags = _witness(normals, bounds, strict, box)[1] if square else np.zeros(len(bounds), bool)
+    rest = np.flatnonzero(~flags)
+    if rest.size:
+        A = normals[rest]
+        b, zero = _margins(A, bounds[rest], strict[rest], box)
+        decided = ~np.any(zero & (b > 0), axis=1)
         # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
-        A, b, zero = normals[flags], bounds[flags], zero[flags]
         np.negative(A, out=A)
         np.negative(b, out=b)
         A[zero] = 0.0
         b[zero] = 0.0
-        flags[flags] = feasible(A, b, box.lo, box.hi)
+        flags[rest] = decided & feasible(A, b, box.lo, box.hi)
     return flags
-
-
-def _stack(systems, dim: int):
-    """Normals, bounds and strict flags of equally long halfspace systems."""
-    shape = (len(systems), len(systems[0]))
-    normals = np.array([[h.normal for h in s] for s in systems], dtype=float)
-    bounds = np.array([[h.bound for h in s] for s in systems], dtype=float)
-    strict = np.array([[h.strict for h in s] for s in systems], dtype=bool)
-    return normals.reshape(*shape, dim), bounds.reshape(shape), strict.reshape(shape)
 
 
 def halfspaces_feasible(halfspaces, box: Box) -> bool:
     """Interior-point feasibility of one halfspace system inside a box."""
-    return bool(_systems_feasible(*_stack([halfspaces], box.dim), box)[0])
+    normals = np.array([h.normal for h in halfspaces], dtype=float)
+    bounds = np.array([h.bound for h in halfspaces], dtype=float)
+    strict = np.array([h.strict for h in halfspaces], dtype=bool)
+    rows = (1, len(halfspaces))
+    return bool(_systems_feasible(
+        normals.reshape(*rows, box.dim), bounds.reshape(rows), strict.reshape(rows), box
+    )[0])
+
+
+def _chunk(dim: int) -> int:
+    """Systems per chunk: as many as have normals of CHUNK_ELEMS elements in
+    all, and at least one; the simplex cuts its own chunks from these."""
+    return max(1, CHUNK_ELEMS // (dim * dim))
 
 
 def _regions_for_subsets(subsets: list[tuple[int, ...]], w, d, theta: float):
@@ -143,37 +201,30 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> list[RegionDes
     all_subsets = chain.from_iterable(
         combinations(range(w.size), r) for r in range(1, w.size + 1)
     )
-    step = chunk_size(w.size, w.size)
+    step = _chunk(w.size)
     out = []
     while chunk := list(islice(all_subsets, step)):
         subsets, g, offset, normals, bounds, inset = _regions_for_subsets(chunk, w, d, theta)
         flags = _systems_feasible(normals, bounds, inset, box)
-        for i, subset in enumerate(subsets):
-            out.append(
-                RegionDescriptor(
-                    subset=frozenset(subset),
-                    gradient=g[i],
-                    offset=float(offset[i]),
-                    halfspaces=tuple(
-                        map(Halfspace, normals[i], bounds[i].tolist(), inset[i].tolist())
-                    ),
-                    feasible_in_box=bool(flags[i]),
-                )
-            )
+        out.extend(map(
+            RegionDescriptor, map(frozenset, subsets), g, offset.tolist(),
+            normals, bounds, inset, flags.tolist(),
+        ))
     return out
 
 
 def count_feasible(descriptors, box: Box) -> int:
     """Number of descriptors whose region meets the interior of the box.
 
-    The descriptors' systems are stacked and decided a chunk at a time.
+    The descriptors' arrays are stacked and decided a chunk at a time.
     """
     descriptors = list(descriptors)
-    step = chunk_size(box.dim, box.dim)
+    step = _chunk(box.dim)
     return sum(
-        int(np.sum(_systems_feasible(
-            *_stack([r.halfspaces for r in descriptors[s : s + step]], box.dim), box
-        )))
+        int(np.sum(_systems_feasible(*(
+            np.stack(rows) for rows in
+            zip(*((r.normals, r.bounds, r.strict) for r in descriptors[s : s + step]))
+        ), box)))
         for s in range(0, len(descriptors), step)
     )
 

@@ -296,3 +296,30 @@ def test_verify_nan_or_negative_tol_is_bad_input(capsys, tmp_path):
         assert code == 1
         assert out["error"] == "bad-input"
         assert "--tol" in out["detail"]
+
+
+def test_usage_errors_are_bad_input(capsys):
+    # argparse itself would exit with status 2, the no-fire code, and print
+    # plain text.  The files need not exist: parsing fails first.
+    cases = {
+        # argparse reads "-1e-9" as an option, so --tol has no value.
+        ("verify", "--ann", "a.json", "--snn", "s.json", "--tol", "-1e-9"): "--tol",
+        ("verify", "--ann", "a.json"): "--snn",
+        ("verify", "--ann", "a.json", "--snn", "s.json", "--grid", "x"): "--grid",
+        ("regions", "--network", "n.json", "--bogus"): "--bogus",
+        ("frobnicate",): "frobnicate",
+        (): "command",
+    }
+    for args, name in cases.items():
+        code, out = run_cli(capsys, *args)
+        assert code == 1
+        assert out["error"] == "bad-input"
+        assert name in out["detail"]
+
+
+def test_help_still_exits_zero(capsys):
+    for args in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as e:
+            main(args)
+        assert e.value.code == 0
+        assert "usage: spikec" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from spikec.regions import (
     STRICT_EPS_SCALE,
     ZERO_NORMAL_TOL,
     Halfspace,
+    _witness,
     halfspaces_feasible,
 )
-from spikec import simplex
+from spikec import regions, simplex
 from spikec.simplex import feasible
 from test_simplex import feasible_reference
 
@@ -394,3 +396,86 @@ def test_enumeration_working_memory_does_not_grow_with_the_subsets():
     small, large = transient(8), transient(12)
     assert large <= 1.5 * small + 65536
     assert large <= 4 * simplex.CHUNK_ELEMS * 8
+
+
+def _stacked(descs):
+    """The descriptors' normals, bounds and strict flags, stacked."""
+    return (np.stack([getattr(r, f) for r in descs]) for f in ("normals", "bounds", "strict"))
+
+
+def test_the_closed_form_point_is_a_sound_witness():
+    # A system the point decides is feasible for the reference, and at the
+    # point the neuron fires on exactly the subset, at the region's value.
+    decided = 0
+    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
+        for b in (box, wide):
+            descs = enumerate_regions(w, delays, theta, b)
+            if not descs:
+                continue
+            points, ok = _witness(*_stacked(descs), b)
+            for r, t in compress(zip(descs, points), ok):
+                assert b.contains(t)
+                assert halfspaces_feasible_reference(r.halfspaces, b)
+                cert = resolve_firing_time(list(zip(t + delays, w)), theta)
+                assert cert.contributing == r.subset
+                want = r.offset + r.gradient @ t
+                assert abs(cert.firing_time.time - want) <= 1e-12 * max(1.0, abs(want))
+            decided += int(np.sum(ok))
+    assert decided > 100
+
+
+def test_both_the_point_and_the_simplex_decide_systems(monkeypatch):
+    # Every system is decided by its closed-form point or reaches the
+    # simplex, and on these neurons each path takes many of them.
+    cases = _seeded_neurons()
+    reached = []
+
+    def counting(A, b, lo, hi):
+        reached.append(len(A))
+        return feasible(A, b, lo, hi)
+
+    monkeypatch.setattr(regions, "feasible", counting)
+    by_point = systems = 0
+    for w, delays, theta, box, wide, flags, wide_flags in cases:
+        descs = enumerate_regions(w, delays, theta, box)
+        assert [r.feasible_in_box for r in descs] == flags
+        assert count_feasible(descs, wide) == sum(wide_flags)
+        if descs:
+            by_point += sum(int(np.sum(_witness(*_stacked(descs), b)[1])) for b in (box, wide))
+        systems += 2 * len(descs)
+    assert by_point > 100 and sum(reached) > 100
+    assert by_point + sum(reached) == systems
+
+
+def test_a_box_that_holds_every_region_needs_no_simplex(monkeypatch):
+    # An all-positive 10-input neuron in a box of radius 4 theta / (smallest
+    # subset sum), as the regions-d10 benchmark sizes it: every one of its
+    # 1023 regions is decided by its closed-form point.
+    def refuse(*args):
+        raise AssertionError("the simplex was called")
+
+    monkeypatch.setattr(regions, "feasible", refuse)
+    rng = np.random.default_rng(97)
+    w = rng.uniform(0.05, 1.5, 10)
+    delays = rng.uniform(0.0, 1.0, 10)
+    radius = max(1.0, 4.0 / w.min())
+    center = float(np.mean(delays))
+    descs = enumerate_regions(w, delays, 1.0, Box.cube(center - radius, center + radius, 10))
+    assert len(descs) == 1023 and all(r.feasible_in_box for r in descs)
+
+
+def test_arbitrary_halfspace_systems_match_the_reference():
+    # Random systems of one to four rows in two dimensions: the closed-form
+    # point is tried on those of two rows, the others go to the simplex alone.
+    rng = np.random.default_rng(101)
+    box = Box.cube(-1.0, 1.0, 2)
+    both = {False: 0, True: 0}
+    for rows in (1, 2, 3, 4) * 30:
+        hs = [
+            Halfspace(rng.normal(0.0, 1.0, 2), float(rng.normal()), bool(rng.random() < 0.5))
+            for _ in range(rows)
+        ]
+        flag = halfspaces_feasible(hs, box)
+        assert flag == halfspaces_feasible_reference(hs, box)
+        both[flag] += 1
+    assert min(both.values()) > 5
