@@ -171,7 +171,7 @@ def cmd_regions(args) -> int:
         layer.weights[:, 0], layer.delays[:, 0], float(layer.thresholds[0]), box
     )
     result: dict = {
-        "analytic_count": sum(1 for r in descs if r.feasible_in_box),
+        "analytic_count": int(np.count_nonzero(descs.feasible)),
         "regions": [
             {
                 "subset": sorted(r.subset),

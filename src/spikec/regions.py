@@ -8,23 +8,28 @@ strictly before the output fires.  On that region the firing time is
 
 with W = sum_{i in I} w_i > 0, and the region itself is cut out by linear
 inequalities: inputs outside I must arrive at or after t_v, inputs inside I
-strictly before.  Subsets are taken a chunk at a time, and the chunk's
-inequalities are built as one (subsets, d, d) array.  Each system is first
-tried at one closed-form point, with every input of I arriving at once, as
-early as the box allows, and every other input at the box's upper end; a
-system that point satisfies is feasible.  The simplex decides only the
-rest, all of a chunk's in one stacked call.  In a box big enough to hold
-the regions the point decides nearly all of them.  This yields the exact
-region count inside a box.  Descriptors keep their inequalities as row
-views of the chunk's arrays and build Halfspace objects only when asked.
-A finite-difference gradient clustering over a grid provides an
-independent empirical count.
+strictly before.  enumerate_regions returns the candidate regions as one
+table of arrays, Regions: per region a membership row for I, the gradient,
+the offset and whether the region meets the box.  The inequalities are not
+kept; one helper, _systems, rebuilds them from table rows as a
+(regions, d, d) array, for enumeration's own decision, for count_feasible
+and for a descriptor asked for them.  Each system is first tried at one
+closed-form point, with every input of I arriving at once, as early as the
+box allows, and every other input at the box's upper end; a system that
+point satisfies is feasible.  The simplex decides only the rest, all of a
+chunk's in one stacked call.  In a box big enough to hold the regions the
+point decides nearly all of them.  This yields the exact region count
+inside a box.  A finite-difference gradient clustering over a grid
+provides an independent empirical count.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, groupby, islice
+from itertools import accumulate, repeat
+from math import comb
 
 import numpy as np
 
@@ -49,27 +54,96 @@ class Halfspace:
     strict: bool
 
 
-@dataclass(frozen=True)
-class RegionDescriptor:
-    """One candidate linear region: its subset, affine map and inequalities.
+@dataclass(frozen=True, eq=False)
+class Regions(Sequence):
+    """The candidate regions of one neuron, as enumerate_regions returns them.
 
-    Row k of the region's system is ``normals[k] . t >= bounds[k]``, strict
-    where ``strict[k]``; the three arrays are row views of the arrays that
-    enumerate_regions builds for a whole chunk of subsets.  ``halfspaces``
-    gives the same rows as Halfspace objects, built when asked.
+    Row i is one region: ``inset[i]`` marks its subset, ``gradients[i]`` and
+    ``offsets[i]`` give its affine map, and ``feasible[i]`` says whether it
+    meets the interior of the box it was enumerated in.  ``delays`` are the
+    neuron's; with them the rows give back each region's inequalities.  The
+    arrays are read-only.  An index gives a RegionDescriptor, a view of one
+    row.
     """
 
-    subset: frozenset[int]
-    gradient: np.ndarray
-    offset: float
-    normals: np.ndarray
-    bounds: np.ndarray
-    strict: np.ndarray
-    feasible_in_box: bool
+    inset: np.ndarray
+    gradients: np.ndarray
+    offsets: np.ndarray
+    feasible: np.ndarray
+    delays: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.inset, self.gradients, self.offsets, self.feasible, self.delays):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, i) -> RegionDescriptor:
+        i = range(len(self))[operator.index(i)]
+        return RegionDescriptor(self, i, bool(self.feasible[i]))
+
+    def __iter__(self):
+        return map(RegionDescriptor, repeat(self), range(len(self)), self.feasible.tolist())
+
+
+class RegionDescriptor:
+    """One candidate linear region: a view of row ``index`` of a Regions table.
+
+    ``subset``, ``gradient`` and ``offset`` read the row.  Row k of the
+    region's system is ``normals[k] . t >= bounds[k]``, strict where
+    ``strict[k]``; these arrays, and ``halfspaces``, the same rows as
+    Halfspace objects, are rebuilt from the table row when asked.
+    """
+
+    __slots__ = ("table", "index", "feasible_in_box")
+
+    def __init__(self, table: Regions, index: int, feasible_in_box: bool) -> None:
+        self.table = table
+        self.index = index
+        self.feasible_in_box = feasible_in_box
+
+    @property
+    def subset(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.table.inset[self.index]).tolist())
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return self.table.gradients[self.index]
+
+    @property
+    def offset(self) -> float:
+        return float(self.table.offsets[self.index])
+
+    def _system(self):
+        t, row = self.table, slice(self.index, self.index + 1)
+        return [a[0] for a in _systems(t.inset[row], t.gradients[row], t.offsets[row], t.delays)]
+
+    normals = property(lambda self: self._system()[0])
+    bounds = property(lambda self: self._system()[1])
+    strict = property(lambda self: self._system()[2])
 
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:
-        return tuple(map(Halfspace, self.normals, self.bounds.tolist(), self.strict.tolist()))
+        normals, bounds, strict = self._system()
+        return tuple(map(Halfspace, normals, bounds.tolist(), strict.tolist()))
+
+
+def _systems(inset, gradients, offsets, delays):
+    """The inequalities of a stack of regions, from their table rows:
+    (regions, d, d) normals and (regions, d) bounds and strict flags.
+
+    Input k of the subset arrives strictly before the firing time,
+    (g - e_k) . t > d_k - offset, and every other input at or after it,
+    (e_k - g) . t >= offset - d_k.
+    """
+    eye = np.eye(inset.shape[1])
+    g = gradients[:, None, :]
+    # I - g rather than -(g - I), so zero entries stay +0.0.
+    normals = np.subtract(eye, g)
+    np.subtract(g, eye, out=normals, where=inset[:, :, None])
+    bounds = np.where(inset, delays - offsets[:, None], offsets[:, None] - delays)
+    return normals, bounds, inset
 
 
 def _witness(normals, bounds, strict, box: Box):
@@ -102,7 +176,7 @@ def _margins(normals, bounds, strict, box: Box):
     """Bounds with the margin that shrinks the strict rows, proportional to
     the box diameter, and the rows with a (numerically) zero normal."""
     eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
-    zero = np.max(np.abs(normals), axis=2, initial=0.0) < ZERO_NORMAL_TOL
+    zero = np.all(np.abs(normals) < ZERO_NORMAL_TOL, axis=2)
     return bounds + np.where(strict, eps, 0.0), zero
 
 
@@ -144,49 +218,48 @@ def halfspaces_feasible(halfspaces, box: Box) -> bool:
 
 
 def _chunk(dim: int) -> int:
-    """Systems per chunk: as many as have normals of CHUNK_ELEMS elements in
-    all, and at least one; the simplex cuts its own chunks from these."""
-    return max(1, CHUNK_ELEMS // (dim * dim))
+    """Systems per chunk: as many as have normals of CHUNK_ELEMS / 2 elements
+    in all, and at least one.  A chunk's normals live only while it is
+    decided, beside a temporary of their size in _margins, so a chunk holds
+    about CHUNK_ELEMS elements; the simplex cuts its own chunks from these."""
+    return max(1, CHUNK_ELEMS // (2 * dim * dim))
 
 
-def _regions_for_subsets(subsets: list[tuple[int, ...]], w, d, theta: float):
-    """Affine maps and inequalities of a chunk of subsets, given in order of
-    size, dropping those with a non-positive weight sum.
+def _fill_subsets(inset, starts) -> None:
+    """Write every nonempty subset of range(d) into the (2^d - 1, d) array as
+    a membership row, in order of size, then lexicographically; those of
+    size r start at row starts[r - 1].
 
-    Weight sums and dot products reduce over each subset's own entries, one
-    size at a time, as the per-subset formulas do, so every value is what
-    they give.
+    Read with input 0 as the high bit, lexicographic order within one size
+    is descending order of the bit vectors.  The vectors are taken in
+    descending blocks of CHUNK_ELEMS // d, and each block's rows are placed
+    by their size.
     """
-    inset = np.zeros((len(subsets), w.size), dtype=bool)
-    W, dots, start = [], [], 0
-    for _, group in groupby(subsets, len):
-        idx = np.array(list(group))
-        inset[start + np.arange(len(idx))[:, None], idx] = True
-        W.append(w[idx].sum(axis=1))
-        dots.append(np.matmul(w[idx][:, None, :], d[idx][:, :, None])[:, 0, 0])
-        start += len(idx)
-    W, dots = np.concatenate(W), np.concatenate(dots)
-    keep = W > 0
-    subsets = list(compress(subsets, keep))
-    inset, W = inset[keep], W[keep]
-    offset = (theta + dots[keep]) / W
-    g = np.zeros(inset.shape)
-    rows, cols = np.nonzero(inset)
-    g[rows, cols] = w[cols] / W[rows]
-    # I - g rather than -(g - I), so zero entries stay +0.0.
-    eye = np.eye(w.size)
-    normals = np.subtract(eye, g[:, None, :])
-    np.subtract(g[:, None, :], eye, out=normals, where=inset[:, :, None])
-    bounds = np.where(inset, d - offset[:, None], offset[:, None] - d)
-    return subsets, g, offset, normals, bounds, inset
+    n, dim = inset.shape
+    bits = 1 << np.arange(dim - 1, -1, -1)
+    # The row where the next subset of each size goes.
+    at = starts[:-1]
+    step = max(1, CHUNK_ELEMS // dim)
+    for top in range(n, 0, -step):
+        member = (np.arange(top, max(top - step, 0), -1)[:, None] & bits) != 0
+        size = np.count_nonzero(member, axis=1)
+        for r in range(1, dim + 1):
+            rows = member[size == r]
+            inset[at[r - 1] : at[r - 1] + len(rows)] = rows
+            at[r - 1] += len(rows)
 
 
-def enumerate_regions(weights, delays, theta: float, box: Box) -> list[RegionDescriptor]:
+def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
     """All candidate regions (nonempty subsets with positive weight sum).
 
-    Subsets come in order of size, then lexicographically.  They are built
-    and decided a chunk at a time, so working memory does not grow with
-    the 2^d subsets.
+    Subsets come in order of size, then lexicographically.  Their
+    membership rows are written first.  Then the rows are taken a chunk of
+    CHUNK_ELEMS // d at a time: the candidates among them move up in place,
+    and their affine maps are written beside them.  Weight sums and dot
+    products reduce over each subset's own entries, one size at a time, as
+    the per-subset formulas do, so every value is what they give.  Last,
+    the candidates are decided in the box.  Beyond the table, working
+    memory does not grow with the 2^d subsets.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     d = np.atleast_1d(np.asarray(delays, dtype=float))
@@ -198,35 +271,54 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> list[RegionDes
         raise InvalidParameterError(f"subset enumeration limited to d <= {MAX_ENUM_DIM}")
     if box.dim != w.size:
         raise DimensionError("box dimension must match the number of inputs")
-    all_subsets = chain.from_iterable(
-        combinations(range(w.size), r) for r in range(1, w.size + 1)
-    )
-    step = _chunk(w.size)
-    out = []
-    while chunk := list(islice(all_subsets, step)):
-        subsets, g, offset, normals, bounds, inset = _regions_for_subsets(chunk, w, d, theta)
-        flags = _systems_feasible(normals, bounds, inset, box)
-        out.extend(map(
-            RegionDescriptor, map(frozenset, subsets), g, offset.tolist(),
-            normals, bounds, inset, flags.tolist(),
-        ))
-    return out
+    dim, n = w.size, (1 << w.size) - 1
+    # Subsets of size r are rows starts[r - 1] to starts[r].
+    starts = [0, *accumulate(comb(dim, r) for r in range(1, dim + 1))]
+    inset = np.empty((n, dim), dtype=bool)
+    _fill_subsets(inset, starts)
+    gradients, offsets = np.zeros((n, dim)), np.empty(n)
+    step, kept = max(1, CHUNK_ELEMS // dim), 0
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        W, dots = [], []
+        for r in range(1, dim + 1):
+            lo, hi = max(s, starts[r - 1]), min(e, starts[r])
+            if lo < hi:
+                idx = np.nonzero(inset[lo:hi])[1].reshape(hi - lo, r)
+                W.append(w[idx].sum(axis=1))
+                dots.append(np.matmul(w[idx][:, None, :], d[idx][:, :, None])[:, 0, 0])
+        W, dots = np.concatenate(W), np.concatenate(dots)
+        keep = W > 0
+        W = W[keep]
+        rows = slice(kept, kept + len(W))
+        inset[rows] = inset[s:e][keep]
+        offsets[rows] = (theta + dots[keep]) / W
+        np.divide(w, W[:, None], out=gradients[rows], where=inset[rows])
+        kept += len(W)
+    inset, gradients, offsets = inset[:kept], gradients[:kept], offsets[:kept]
+    return Regions(inset, gradients, offsets, _decide(inset, gradients, offsets, d, box), d.copy())
 
 
-def count_feasible(descriptors, box: Box) -> int:
-    """Number of descriptors whose region meets the interior of the box.
+def _decide(inset, gradients, offsets, delays, box: Box) -> np.ndarray:
+    """Whether each region of the table rows meets the interior of the box.
 
-    The descriptors' arrays are stacked and decided a chunk at a time.
+    The systems are rebuilt and decided a chunk at a time.
     """
-    descriptors = list(descriptors)
-    step = _chunk(box.dim)
-    return sum(
-        int(np.sum(_systems_feasible(*(
-            np.stack(rows) for rows in
-            zip(*((r.normals, r.bounds, r.strict) for r in descriptors[s : s + step]))
-        ), box)))
-        for s in range(0, len(descriptors), step)
-    )
+    flags, step = np.empty(len(offsets), dtype=bool), _chunk(box.dim)
+    for s in range(0, len(offsets), step):
+        rows = slice(s, s + step)
+        flags[rows] = _systems_feasible(
+            *_systems(inset[rows], gradients[rows], offsets[rows], delays), box
+        )
+    return flags
+
+
+def count_feasible(regions: Regions, box: Box) -> int:
+    """Number of the regions, a table as enumerate_regions returns, that
+    meet the interior of the box."""
+    return int(np.count_nonzero(
+        _decide(regions.inset, regions.gradients, regions.offsets, regions.delays, box)
+    ))
 
 
 def stabilized_region_count(weights, delays, theta: float) -> int:
@@ -243,8 +335,8 @@ def stabilized_region_count(weights, delays, theta: float) -> int:
     center = float(np.mean(d)) if d.size else 0.0
     radius = max(1.0, float(np.max(np.abs(d - center), initial=0.0)))
     box = Box.cube(center - radius, center + radius, w.size)
-    descriptors = enumerate_regions(w, d, theta, box)
-    cnt = sum(r.feasible_in_box for r in descriptors)
+    regions = enumerate_regions(w, d, theta, box)
+    cnt = int(np.count_nonzero(regions.feasible))
     prev = prev2 = -1
     for _ in range(MAX_DOUBLINGS - 1):
         if cnt == prev == prev2:
@@ -252,7 +344,7 @@ def stabilized_region_count(weights, delays, theta: float) -> int:
         prev2, prev = prev, cnt
         radius *= 2.0
         box = Box.cube(center - radius, center + radius, w.size)
-        cnt = count_feasible(descriptors, box)
+        cnt = count_feasible(regions, box)
     return cnt
 
 

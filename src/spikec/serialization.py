@@ -8,6 +8,7 @@ saving a loaded file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,45 @@ class FileFormatError(SpikecError, ValueError):
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
+
+    json writes an indented text with its pure-Python encoder, one call per
+    value.  Here a list of finite floats, most of a network file, is one
+    join of their reprs, which is how json writes each of them; every other
+    scalar is written by json itself.  Dict keys must be strings.
+    """
+    return _canonical(obj, "\n") + "\n"
+
+
+def _canonical(obj, nl: str) -> str:
+    # nl is a newline and the indent of obj's own line.
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (json.dumps(k) + ": " + _canonical(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        body = _float_list(obj, sep)
+        if body is None:
+            body = sep.join(_canonical(x, inner) for x in obj)
+        return "[" + inner + body + nl + "]"
+    return json.dumps(obj)
+
+
+def _float_list(obj, sep: str):
+    """The items of obj joined by sep if they are all finite floats, else None."""
+    try:
+        # isfinite refuses containers, strings and None; float.__repr__
+        # refuses ints and bools.
+        if all(map(math.isfinite, obj)):
+            return sep.join(map(float.__repr__, obj))
+    except (TypeError, OverflowError):
+        pass
+    return None
 
 
 def snn_to_dict(t: TypedSNN) -> dict:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and JSON file formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -203,6 +204,27 @@ def test_regions_command(capsys, tmp_path):
     assert out["analytic_count"] == 3
     assert out["empirical_count"] == 3
     assert len(out["regions"]) == 3
+
+
+def test_regions_output_is_pinned(capsys, tmp_path):
+    # A fixed mixed-sign 3-input neuron with input reference time 0.5: the
+    # command's text, byte for byte, and what it says.
+    net = single_neuron_network([0.9, -0.4, 0.7], [0.5, 0.0, 1.25], 0.8)
+    path = tmp_path / "three.json"
+    save_snn(path, TypedSNN(net, EncodingSpec(0.5, 3.0, Box.cube(-1.0, 1.0, 3))))
+    assert main(["regions", "--network", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "29cbebe36a1730b8eb1a9fc7ca4696b61c9a22027f71065ff10c20fee1e35d76"
+    )
+    out = json.loads(text)
+    assert out["analytic_count"] == 4
+    assert [(r["subset"], r["feasible"]) for r in out["regions"]] == [
+        ([0], True), ([2], False), ([0, 1], True), ([0, 2], True), ([1, 2], False),
+        ([0, 1, 2], True),
+    ]
+    assert out["regions"][4]["gradient"] == [0.0, -1.3333333333333337, 2.333333333333334]
+    assert out["regions"][4]["offset"] == 5.583333333333335
 
 
 def test_oracle_command(capsys, two_kink_file):

@@ -1,6 +1,7 @@
 """Tests for linear-region enumeration, counting and the grid oracle."""
 
 import functools
+import hashlib
 import tracemalloc
 from itertools import compress
 
@@ -21,6 +22,7 @@ from spikec.regions import (
     STRICT_EPS_SCALE,
     ZERO_NORMAL_TOL,
     Halfspace,
+    Regions,
     _witness,
     halfspaces_feasible,
 )
@@ -479,3 +481,65 @@ def test_arbitrary_halfspace_systems_match_the_reference():
         assert flag == halfspaces_feasible_reference(hs, box)
         both[flag] += 1
     assert min(both.values()) > 5
+
+
+def test_region_tables_are_pinned():
+    # Every region's subset, gradient bytes, offset and flag, in order, for
+    # the seeded neurons in their box and the widened box, as the
+    # per-descriptor enumeration gave them.
+    h = hashlib.sha256()
+    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
+        for b in (box, wide):
+            for r in enumerate_regions(w, delays, theta, b):
+                h.update(repr((sorted(r.subset), r.offset, r.feasible_in_box)).encode())
+                h.update(r.gradient.tobytes())
+    assert h.hexdigest() == "8ab661ad00b1107682e765791ecb7e1a58971576f7abaf3735300beac76aeccc"
+
+
+def test_regions_is_a_sequence_of_row_views():
+    rng = np.random.default_rng(103)
+    w, delays = rng.normal(0.0, 1.0, 6), rng.uniform(0.0, 2.0, 6)
+    box = Box.cube(-3.0, 3.0, 6)
+    table = enumerate_regions(w, delays, 0.7, box)
+    assert isinstance(table, Regions)
+    n = len(table)
+    assert n == len(table.offsets) == int(np.sum([w[list(s)].sum() > 0 for s in _subsets(6)]))
+    listed = list(table)
+    assert len(listed) == n
+    for i, r in enumerate(listed):
+        for j in (i, i - n):
+            got = table[j]
+            assert got.index == i and got.subset == r.subset
+            assert np.array_equal(got.gradient, r.gradient) and got.offset == r.offset
+            assert got.feasible_in_box is r.feasible_in_box
+        assert r.subset == frozenset(np.flatnonzero(table.inset[i]).tolist())
+        assert r.offset == table.offsets[i] and r.feasible_in_box == table.feasible[i]
+    with pytest.raises(IndexError):
+        table[n]
+    with pytest.raises(IndexError):
+        table[-n - 1]
+    with pytest.raises(ValueError):
+        table.gradients[0, 0] = 1.0
+
+
+def test_count_feasible_of_a_table_sums_its_descriptors():
+    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
+        table = enumerate_regions(w, delays, theta, box)
+        want = sum(halfspaces_feasible(r.halfspaces, wide) for r in table)
+        assert count_feasible(table, wide) == want == sum(wide_flags)
+
+
+def test_the_table_keeps_o_of_d_bytes_per_region():
+    # At d = 12 the 4095 regions' normals alone would take 4095 * 144 * 8
+    # bytes, about 4.7 MB; the table keeps membership rows, gradients,
+    # offsets and flags.
+    rng = np.random.default_rng(12)
+    w, delays = rng.uniform(0.1, 1.0, 12), rng.uniform(0.0, 1.0, 12)
+    tracemalloc.start()
+    try:
+        table = enumerate_regions(w, delays, 1.0, Box.cube(-4, 4, 12))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 4095
+    assert retained < 1 << 20
