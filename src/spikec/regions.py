@@ -10,17 +10,18 @@ with W = sum_{i in I} w_i > 0, and the region itself is cut out by linear
 inequalities: inputs outside I must arrive at or after t_v, inputs inside I
 strictly before.  enumerate_regions returns the candidate regions as one
 table of arrays, Regions: per region a membership row for I, the gradient,
-the offset and whether the region meets the box.  The inequalities are not
-kept; one helper, _systems, rebuilds them from table rows as a
-(regions, d, d) array, for enumeration's own decision, for count_feasible
-and for a descriptor asked for them.  Each system is first tried at one
-closed-form point, with every input of I arriving at once, as early as the
-box allows, and every other input at the box's upper end; a system that
-point satisfies is feasible.  The simplex decides only the rest, all of a
-chunk's in one stacked call.  In a box big enough to hold the regions the
-point decides nearly all of them.  This yields the exact region count
-inside a box.  A finite-difference gradient clustering over a grid
-provides an independent empirical count.
+the offset and whether the region meets the box.  Each region is first
+tried at one closed-form point, with every input of I arriving at once, as
+early as the box allows, and every other input at the box's upper end; a
+region that point satisfies is feasible.  Row k of a region's system has
+the normal g - e_k or e_k - g, so the point is checked from the table row
+in O(d).  The inequalities are not kept; one helper, _systems, builds them
+as a (regions, d, d) array only for the regions whose point fails, which
+the simplex then decides a chunk at a time, and for a descriptor asked for
+them.  In a box big enough to hold the regions the point decides nearly
+all of them.  This yields the exact region count inside a box.  A
+finite-difference gradient clustering over a grid provides an independent
+empirical count.
 """
 
 from __future__ import annotations
@@ -129,99 +130,133 @@ class RegionDescriptor:
         return tuple(map(Halfspace, normals, bounds.tolist(), strict.tolist()))
 
 
+def _bounds(inset, offsets, delays):
+    """The (regions, d) bounds of a stack of regions' systems."""
+    return np.where(inset, delays - offsets[:, None], offsets[:, None] - delays)
+
+
 def _systems(inset, gradients, offsets, delays):
     """The inequalities of a stack of regions, from their table rows:
     (regions, d, d) normals and (regions, d) bounds and strict flags.
 
     Input k of the subset arrives strictly before the firing time,
     (g - e_k) . t > d_k - offset, and every other input at or after it,
-    (e_k - g) . t >= offset - d_k.
+    (e_k - g) . t >= offset - d_k.  Built only for the regions that go to
+    the simplex and for a descriptor asked for them.
     """
     eye = np.eye(inset.shape[1])
     g = gradients[:, None, :]
     # I - g rather than -(g - I), so zero entries stay +0.0.
     normals = np.subtract(eye, g)
     np.subtract(g, eye, out=normals, where=inset[:, :, None])
-    bounds = np.where(inset, delays - offsets[:, None], offsets[:, None] - delays)
-    return normals, bounds, inset
+    return normals, _bounds(inset, offsets, delays), inset
 
 
-def _witness(normals, bounds, strict, box: Box):
-    """One closed-form point per system, and whether it satisfies the system.
+def _point(bounds, strict, box: Box):
+    """One closed-form point per system, (systems, dim).
 
     On the strict rows t_k = max_i (lo_i + b_i) - b_k, the maximum taken
     over the strict rows, and never below lo_k; on the other rows
     t_k = hi_k.  On a region's system, where b_k = d_k - offset on the
     strict rows, every input of the subset then arrives at one time, the
     earliest the box allows, and every other input at the box's upper end.
-    The point is checked against the system the simplex would get: inside
-    the box, and every row's slack >= 0 with the strict margin added, a row
-    with a (numerically) zero normal being decided as a constant.  A system
-    without a strict row has no such point and is never satisfied here.
-    Needs one row per input; returns the (systems, dim) points and the
-    (systems,) flags.
     """
-    has = np.any(strict, axis=1)
     lead = np.max(np.where(strict, box.lo + bounds, -np.inf), axis=1)
     # (lo_k + b_k) - b_k can round to just below lo_k.
-    t = np.where(strict, np.maximum(lead[:, None] - bounds, box.lo), box.hi)
-    need, zero = _margins(normals, bounds, strict, box)
-    slack = np.matmul(normals, t[:, :, None])[:, :, 0] - need
-    ok = np.where(zero, need <= 0, slack >= 0)
-    inside = (t >= box.lo) & (t <= box.hi)
-    return t, has & np.all(ok & inside, axis=1)
+    return np.where(strict, np.maximum(lead[:, None] - bounds, box.lo), box.hi)
 
 
-def _margins(normals, bounds, strict, box: Box):
+def _need(bounds, strict, box: Box):
     """Bounds with the margin that shrinks the strict rows, proportional to
-    the box diameter, and the rows with a (numerically) zero normal."""
+    the box diameter."""
     eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
-    zero = np.all(np.abs(normals) < ZERO_NORMAL_TOL, axis=2)
-    return bounds + np.where(strict, eps, 0.0), zero
+    return bounds + np.where(strict, eps, 0.0)
 
 
-def _systems_feasible(normals, bounds, strict, box: Box) -> np.ndarray:
-    """Interior-point feasibility of a stack of halfspace systems in a box.
+def _zero_rows(normals):
+    """The rows with a (numerically) zero normal."""
+    return np.all(np.abs(normals) < ZERO_NORMAL_TOL, axis=2)
 
-    ``normals`` is (systems, rows, dim); ``bounds`` and ``strict`` are
-    (systems, rows).  A system whose closed-form point (_witness) satisfies
-    it is feasible; the others go to the simplex, with the strict rows
-    shrunk by the same margin.  A row with a zero normal is decided as a
-    constant, and then reaches the simplex as 0 <= 0.
+
+def _satisfies(t, products, zero, bounds, strict, box: Box):
+    """Whether each point t satisfies its system, given every row's
+    normal . t as ``products`` and the rows with a (numerically) zero normal
+    as ``zero``: the check of the system the simplex would get.  The point
+    lies inside the box, and every row's slack is >= 0 with the strict
+    margin added, a zero-normal row being decided as a constant.  A system
+    without a strict row is never satisfied here.
     """
-    # The point needs one row per input.
-    square = normals.shape[1] == box.dim
-    flags = _witness(normals, bounds, strict, box)[1] if square else np.zeros(len(bounds), bool)
-    rest = np.flatnonzero(~flags)
-    if rest.size:
-        A = normals[rest]
-        b, zero = _margins(A, bounds[rest], strict[rest], box)
-        decided = ~np.any(zero & (b > 0), axis=1)
-        # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
-        np.negative(A, out=A)
-        np.negative(b, out=b)
-        A[zero] = 0.0
-        b[zero] = 0.0
-        flags[rest] = decided & feasible(A, b, box.lo, box.hi)
-    return flags
+    need = _need(bounds, strict, box)
+    ok = np.where(zero, need <= 0, products - need >= 0)
+    ok &= (t >= box.lo) & (t <= box.hi)
+    return np.any(strict, axis=1) & np.all(ok, axis=1)
+
+
+def _witness(normals, bounds, strict, box: Box):
+    """The closed-form point of each system (_point) and whether it
+    satisfies the system (_satisfies).  Needs one row per input; returns the
+    (systems, dim) points and the (systems,) flags.
+    """
+    t = _point(bounds, strict, box)
+    products = np.matmul(normals, t[:, :, None])[:, :, 0]
+    return t, _satisfies(t, products, _zero_rows(normals), bounds, strict, box)
+
+
+def _row_witness(inset, gradients, offsets, delays, box: Box) -> np.ndarray:
+    """_witness's flags for a stack of regions, from their table rows in O(d)
+    each.  Row k's normal is g - e_k on the subset and e_k - g off it, so
+    its product with t is g.t - t_k or t_k - g.t, and the normal is zero
+    exactly when |g_k - 1| and every other |g_j| are below ZERO_NORMAL_TOL.
+    """
+    bounds = _bounds(inset, offsets, delays)
+    t = _point(bounds, inset, box)
+    gt = np.einsum("ij,ij->i", gradients, t)[:, None]
+    products = np.where(inset, gt - t, t - gt)
+    zero = np.abs(gradients - 1.0) < ZERO_NORMAL_TOL
+    if zero.any():
+        # Such a g_k must be its row's one entry not below the tolerance.
+        big = np.count_nonzero(~(np.abs(gradients) < ZERO_NORMAL_TOL), axis=1)
+        zero &= (big == 1)[:, None]
+    return _satisfies(t, products, zero, bounds, inset, box)
+
+
+def _simplex_feasible(normals, bounds, strict, box: Box) -> np.ndarray:
+    """The simplex's interior-point feasibility of a stack of systems, with
+    the strict rows shrunk by the margin.  A row with a zero normal is
+    decided as a constant, and then reaches the simplex as 0 <= 0.
+    Overwrites ``normals``.
+    """
+    b, zero = _need(bounds, strict, box), _zero_rows(normals)
+    decided = ~np.any(zero & (b > 0), axis=1)
+    # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
+    np.negative(normals, out=normals)
+    np.negative(b, out=b)
+    normals[zero] = 0.0
+    b[zero] = 0.0
+    return decided & feasible(normals, b, box.lo, box.hi)
 
 
 def halfspaces_feasible(halfspaces, box: Box) -> bool:
-    """Interior-point feasibility of one halfspace system inside a box."""
-    normals = np.array([h.normal for h in halfspaces], dtype=float)
-    bounds = np.array([h.bound for h in halfspaces], dtype=float)
-    strict = np.array([h.strict for h in halfspaces], dtype=bool)
+    """Interior-point feasibility of one halfspace system inside a box.
+
+    A system with one row per input whose closed-form point (_witness)
+    satisfies it is feasible; the others go to the simplex.
+    """
     rows = (1, len(halfspaces))
-    return bool(_systems_feasible(
-        normals.reshape(*rows, box.dim), bounds.reshape(rows), strict.reshape(rows), box
-    )[0])
+    normals = np.array([h.normal for h in halfspaces], dtype=float).reshape(*rows, box.dim)
+    bounds = np.array([h.bound for h in halfspaces], dtype=float).reshape(rows)
+    strict = np.array([h.strict for h in halfspaces], dtype=bool).reshape(rows)
+    if len(halfspaces) == box.dim and _witness(normals, bounds, strict, box)[1][0]:
+        return True
+    return bool(_simplex_feasible(normals, bounds, strict, box)[0])
 
 
 def _chunk(dim: int) -> int:
-    """Systems per chunk: as many as have normals of CHUNK_ELEMS / 2 elements
-    in all, and at least one.  A chunk's normals live only while it is
-    decided, beside a temporary of their size in _margins, so a chunk holds
-    about CHUNK_ELEMS elements; the simplex cuts its own chunks from these."""
+    """Systems per simplex chunk: as many as have normals of CHUNK_ELEMS / 2
+    elements in all, and at least one.  A chunk's normals live only while
+    it is decided, beside a temporary of their size in _zero_rows, so a
+    chunk holds about CHUNK_ELEMS elements; the simplex cuts its own chunks
+    from these."""
     return max(1, CHUNK_ELEMS // (2 * dim * dim))
 
 
@@ -249,24 +284,33 @@ def _fill_subsets(inset, starts) -> None:
             at[r - 1] += len(rows)
 
 
-def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
-    """All candidate regions (nonempty subsets with positive weight sum).
-
-    Subsets come in order of size, then lexicographically.  Their
-    membership rows are written first.  Then the rows are taken a chunk of
-    CHUNK_ELEMS // d at a time: the candidates among them move up in place,
-    and their affine maps are written beside them.  Weight sums and dot
-    products reduce over each subset's own entries, one size at a time, as
-    the per-subset formulas do, so every value is what they give.  Last,
-    the candidates are decided in the box.  Beyond the table, working
-    memory does not grow with the 2^d subsets.
-    """
+def _neuron(weights, delays, theta: float):
+    """The weights and delays as float vectors, checked together with theta."""
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     d = np.atleast_1d(np.asarray(delays, dtype=float))
     if w.shape != d.shape or w.ndim != 1:
         raise DimensionError("weights and delays must be equal-length vectors")
     if not theta > 0:
         raise InvalidParameterError("threshold must be positive")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(d)) and np.isfinite(theta)):
+        raise InvalidParameterError("weights, delays and threshold must be finite")
+    return w, d
+
+
+def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
+    """All candidate regions (nonempty subsets with positive weight sum).
+
+    Subsets come in order of size, then lexicographically.  Their
+    membership rows are written first.  Then the rows are taken a chunk of
+    CHUNK_ELEMS // (4 d) at a time, since the gathers of one size hold about
+    four (rows, size) arrays at once: the candidates among them move up in
+    place, and their affine maps are written beside them.  Weight sums and
+    dot products reduce over each subset's own entries, one size at a time,
+    as the per-subset formulas do, so every value is what they give.  Last,
+    the candidates are decided in the box.  Beyond the table, working
+    memory does not grow with the 2^d subsets.
+    """
+    w, d = _neuron(weights, delays, theta)
     if w.size > MAX_ENUM_DIM:
         raise InvalidParameterError(f"subset enumeration limited to d <= {MAX_ENUM_DIM}")
     if box.dim != w.size:
@@ -277,7 +321,7 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
     inset = np.empty((n, dim), dtype=bool)
     _fill_subsets(inset, starts)
     gradients, offsets = np.zeros((n, dim)), np.empty(n)
-    step, kept = max(1, CHUNK_ELEMS // dim), 0
+    step, kept = max(1, CHUNK_ELEMS // (4 * dim)), 0
     for s in range(0, n, step):
         e = min(s + step, n)
         W, dots = [], []
@@ -302,13 +346,22 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
 def _decide(inset, gradients, offsets, delays, box: Box) -> np.ndarray:
     """Whether each region of the table rows meets the interior of the box.
 
-    The systems are rebuilt and decided a chunk at a time.
+    Each region's closed-form point is checked from its table row
+    (_row_witness), CHUNK_ELEMS // (8 d) rows at a time, so that its
+    (rows, d) temporaries take no more memory than an enumeration chunk's
+    gathers.  Only the regions whose point fails get their (d, d) systems,
+    _chunk(d) at a time, for the simplex.
     """
-    flags, step = np.empty(len(offsets), dtype=bool), _chunk(box.dim)
-    for s in range(0, len(offsets), step):
+    n, dim = inset.shape
+    flags, step = np.empty(n, dtype=bool), max(1, CHUNK_ELEMS // (8 * dim))
+    for s in range(0, n, step):
         rows = slice(s, s + step)
-        flags[rows] = _systems_feasible(
-            *_systems(inset[rows], gradients[rows], offsets[rows], delays), box
+        flags[rows] = _row_witness(inset[rows], gradients[rows], offsets[rows], delays, box)
+    rest, step = np.flatnonzero(~flags), _chunk(dim)
+    for s in range(0, rest.size, step):
+        idx = rest[s : s + step]
+        flags[idx] = _simplex_feasible(
+            *_systems(inset[idx], gradients[idx], offsets[idx], delays), box
         )
     return flags
 
@@ -316,6 +369,8 @@ def _decide(inset, gradients, offsets, delays, box: Box) -> np.ndarray:
 def count_feasible(regions: Regions, box: Box) -> int:
     """Number of the regions, a table as enumerate_regions returns, that
     meet the interior of the box."""
+    if box.dim != regions.inset.shape[1]:
+        raise DimensionError("box dimension must match the number of inputs")
     return int(np.count_nonzero(
         _decide(regions.inset, regions.gradients, regions.offsets, regions.delays, box)
     ))
@@ -330,8 +385,7 @@ def stabilized_region_count(weights, delays, theta: float) -> int:
     domain.  The first box's count is read off the flags that
     enumerate_regions computes for it.
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    d = np.atleast_1d(np.asarray(delays, dtype=float))
+    w, d = _neuron(weights, delays, theta)
     center = float(np.mean(d)) if d.size else 0.0
     radius = max(1.0, float(np.max(np.abs(d - center), initial=0.0)))
     box = Box.cube(center - radius, center + radius, w.size)

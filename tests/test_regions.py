@@ -10,6 +10,7 @@ import pytest
 
 from spikec import (
     Box,
+    DimensionError,
     InvalidParameterError,
     count_feasible,
     empirical_region_count,
@@ -23,6 +24,7 @@ from spikec.regions import (
     ZERO_NORMAL_TOL,
     Halfspace,
     Regions,
+    _row_witness,
     _witness,
     halfspaces_feasible,
 )
@@ -543,3 +545,90 @@ def test_the_table_keeps_o_of_d_bytes_per_region():
         tracemalloc.stop()
     assert len(table) == 4095
     assert retained < 1 << 20
+
+
+def test_count_feasible_checks_the_box_dimension_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the simplex was called")
+
+    rng = np.random.default_rng(107)
+    table = enumerate_regions(rng.normal(0.0, 1.0, 4), rng.uniform(0.0, 1.0, 4), 1.0,
+                              Box.cube(-2.0, 2.0, 4))
+    monkeypatch.setattr(regions, "feasible", refuse)
+    for dim in (1, 3):
+        with pytest.raises(DimensionError, match="box dimension"):
+            count_feasible(table, Box.cube(-50.0, 50.0, dim))
+
+
+@pytest.mark.parametrize("weights, delays, theta", [
+    ([np.nan], [0.0], 1.0),
+    ([np.inf, 1.0], [0.0, 0.0], 1.0),
+    ([1.0, 0.5], [0.0, 0.0], np.inf),
+    ([1.0, 0.5], [0.0, -np.inf], 1.0),
+], ids=["nan-weight", "infinite-weight", "infinite-threshold", "infinite-delay"])
+def test_non_finite_neurons_are_refused(weights, delays, theta):
+    box = Box.cube(-1.0, 1.0, len(weights))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        enumerate_regions(weights, delays, theta, box)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        stabilized_region_count(weights, delays, theta)
+
+
+def test_the_row_point_decides_what_the_stacked_point_decides():
+    # The point checked from table rows in O(d) gives _witness's flags, also
+    # on rows whose normal is zero within the tolerance without being a
+    # singleton's (w_0 = 1 beside +-1e-13 has such rows), and on rows with
+    # g_k = 1 whose normal is not zero (w_0 = 1 beside +-0.5).
+    def both(table, box):
+        normals, bounds, strict = _stacked(table)
+        want = _witness(normals, bounds, strict, box)[1]
+        got = _row_witness(table.inset, table.gradients, table.offsets, table.delays, box)
+        assert np.array_equal(got, want)
+        return want, np.all(np.abs(normals) < ZERO_NORMAL_TOL, axis=2)
+
+    seen = {False: 0, True: 0}
+    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
+        for b in (box, wide):
+            table = enumerate_regions(w, delays, theta, b)
+            if table:
+                for f in both(table, b)[0]:
+                    seen[bool(f)] += 1
+    assert min(seen.values()) > 100
+    wide_zero = 0
+    for w in ([1.0, 1e-13, -1e-13], [1.0, 0.5, -0.5]):
+        for theta in (1e-9, 1e-7, 0.1, 1.0):
+            for radius in (0.5, 1.0, 100.0):
+                box = Box.cube(-radius, radius, 3)
+                table = enumerate_regions(w, [0.2, 0.0, 0.5], theta, box)
+                zero = both(table, box)[1]
+                wide_zero += int(np.sum(zero.any(axis=1) & (table.inset.sum(axis=1) > 1)))
+    assert wide_zero > 0
+
+
+def test_a_region_the_point_decides_gets_no_system(monkeypatch):
+    built, reached = [], []
+
+    def counting_systems(inset, *rest):
+        built.append(len(inset))
+        return systems(inset, *rest)
+
+    def counting_feasible(A, b, lo, hi):
+        reached.append(len(A))
+        return feasible(A, b, lo, hi)
+
+    systems = regions._systems
+    monkeypatch.setattr(regions, "_systems", counting_systems)
+    monkeypatch.setattr(regions, "feasible", counting_feasible)
+    # The all-positive neuron in the box that holds every region.
+    rng = np.random.default_rng(97)
+    w = rng.uniform(0.05, 1.5, 10)
+    delays = rng.uniform(0.0, 1.0, 10)
+    radius = max(1.0, 4.0 / w.min())
+    center = float(np.mean(delays))
+    table = enumerate_regions(w, delays, 1.0, Box.cube(center - radius, center + radius, 10))
+    assert len(table) == 1023 and sum(built) == 0 == sum(reached)
+    # In a small box many regions reach the simplex, and only they get systems.
+    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
+        table = enumerate_regions(w, delays, theta, box)
+        count_feasible(table, wide)
+    assert sum(built) == sum(reached) > 100
