@@ -9,6 +9,8 @@ import numpy as np
 from .errors import DimensionError, InvalidParameterError
 
 CONTAINS_TOL = 1e-9
+#: Largest grid point count: the grid's row indices are int64.
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,57 @@ class Box:
         """n uniform points, shape (n, dim)."""
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    def grid(self, n_per_axis: int) -> np.ndarray:
-        """Regular grid with n points per axis, shape (n**dim, dim)."""
+    def grid_size(self, n_per_axis: int) -> int:
+        """Number of points of the grid with n points per axis, n**dim."""
         if n_per_axis < 1:
             raise InvalidParameterError("a grid needs at least one point per axis")
-        axes = [np.linspace(self.lo[i], self.hi[i], n_per_axis) for i in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        total = n_per_axis**self.dim
+        if total > INT64_MAX:
+            raise InvalidParameterError(
+                f"a grid of {n_per_axis}^{self.dim} points does not fit an int64 index"
+            )
+        return total
+
+    def grid(self, n_per_axis: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Regular grid with n points per axis, shape (n**dim, dim), in row-major
+        ("ij") order: the last coordinate varies fastest and axis i takes the
+        values of ``np.linspace(lo[i], hi[i], n)``.
+
+        With start and stop, only rows [start, stop) of that grid, equal bit
+        for bit to the same slice of the whole grid.  A slice costs memory in
+        proportion to its own rows, not to the grid's, so a caller can walk a
+        grid far larger than memory.
+        """
+        total = self.grid_size(n_per_axis)
+        stop = total if stop is None else stop
+        if not 0 <= start <= stop <= total:
+            raise InvalidParameterError(
+                f"grid rows [{start}, {stop}) are not within [0, {total})"
+            )
+        idx = np.unravel_index(np.arange(start, stop), (n_per_axis,) * self.dim)
+        return np.stack(
+            [_linspace_at(lo, hi, n_per_axis, k) for lo, hi, k in zip(self.lo, self.hi, idx)],
+            axis=1,
+        )
+
+
+def _linspace_at(lo: float, hi: float, n: int, k: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, n)[k]`` bit for bit, by numpy's own arithmetic,
+    without building the n values of the axis."""
+    y = k.astype(float)
+    div = n - 1
+    delta = hi - lo
+    if div > 0:
+        step = delta / div
+        if step == 0:
+            # numpy's order when the step underflows, as for lo == hi.
+            y /= div
+            y *= delta
+        else:
+            y *= step
+    else:
+        y *= delta
+    y += lo
+    if div > 0:
+        y[k == div] = hi
+    return y

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -102,6 +103,8 @@ def cmd_compile(args) -> int:
 def _thread_count() -> int:
     env = os.environ.get("SPIKEC_THREADS", "").strip()
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return min(4, len(os.sched_getaffinity(0)))
         return min(4, os.cpu_count() or 1)
     try:
         return max(1, int(env))
@@ -109,46 +112,113 @@ def _thread_count() -> int:
         raise InvalidParameterError(f"SPIKEC_THREADS is not an integer: {env!r}") from None
 
 
+#: About how many grid points ``verify`` checks together (see _chunks).
+VERIFY_CHUNK_POINTS = 16384
+#: Chunks queued per thread ahead of the one being consumed.
+VERIFY_CHUNKS_PER_THREAD = 2
+
+
+def _chunks(total: int, n_threads: int):
+    """Cuts verify's grid of `total` points into runs of rows; returns their
+    count and the first row of run i (`total` for i == count).
+
+    The runs are nearly equal, at least one per VERIFY_CHUNK_POINTS points,
+    and as many as a multiple of the thread count, so that the threads
+    finish together.  Each starts at a multiple of `align` rows and is at
+    least that long (or the whole grid): BLAS picks its kernel by the
+    matrix's shape and groups rows from the first, so an ``ann_forward``
+    call of a few rows, or one whose rows are grouped differently, can round
+    them differently from one whole-grid call.
+    """
+    align = max(1, VERIFY_CHUNK_POINTS // 16)
+    count = -(-max(1, total // VERIFY_CHUNK_POINTS) // n_threads) * n_threads
+    # At most one run per 2 * align - 1 rows keeps every run >= align rows.
+    count = min(count, max(1, total // (2 * align - 1)))
+
+    def start(i: int) -> int:
+        return total if i == count else i * total // count // align * align
+
+    return count, start
+
+
+def _in_order(fn, items, n_threads: int):
+    """Yields fn(item) for each item in order.  With several threads, at most
+    VERIFY_CHUNKS_PER_THREAD calls per thread are pending at a time (unlike
+    ``Executor.map``, which submits every item at once)."""
+    if n_threads == 1 or len(items) == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == VERIFY_CHUNKS_PER_THREAD * n_threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def cmd_verify(args) -> int:
+    """Compares the ANN and the SNN on every point of the ``--grid`` grid of
+    the SNN's domain.
+
+    The grid is walked in row-major chunks of at most about twice
+    VERIFY_CHUNK_POINTS points, on ``SPIKEC_THREADS`` threads, so memory
+    does not grow with ``--grid``.  The largest per-point error and its
+    first grid point are kept as the chunks come back in grid order, and
+    ``--dump-grid`` is written chunk by chunk; a run that stops early
+    leaves no dump.
+    """
     if not args.tol >= 0:
         raise InvalidParameterError(f"--tol must be a non-negative number, got {args.tol}")
     n_threads = _thread_count()
     ann = load_ann(args.ann)
     snn = load_snn(args.snn)
-    pts = snn.enc.domain.grid(args.grid)
-    want = ann_forward(ann, pts)
+    box, n = snn.enc.domain, args.grid
+    total = box.grid_size(n)
+    n_chunks, start = _chunks(total, n_threads)
 
+    def check(i: int):
+        pts = box.grid(n, start(i), start(i + 1))
+        want = ann_forward(ann, pts)
+        got = snn.realize_batch(pts)
+        return pts, want, got, np.abs(got - want).max(axis=1)
+
+    dump = open(args.dump_grid, "w") if args.dump_grid else None
+    if dump:
+        header = (
+            [f"x{j + 1}" for j in range(box.dim)]
+            + [f"ann{j + 1}" for j in range(ann.output_dim)]
+            + [f"snn{j + 1}" for j in range(snn.net.output_dim)]
+            + ["err"]
+        )
+        dump.write(",".join(header) + "\n")
+    max_err = argmax_point = None
+    finished = False
     try:
-        if n_threads > 1 and pts.shape[0] >= 4 * n_threads:
-            chunks = np.array_split(pts, n_threads)
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                got = np.vstack(list(pool.map(snn.realize_batch, chunks)))
-        else:
-            got = snn.realize_batch(pts)
+        for pts, want, got, per_point in _in_order(check, range(n_chunks), n_threads):
+            i = int(np.argmax(per_point))
+            # np.argmax's rule across chunks: the first maximum wins, NaN beats all.
+            if max_err is None or per_point[i] > max_err or (
+                np.isnan(per_point[i]) and not np.isnan(max_err)
+            ):
+                max_err, argmax_point = float(per_point[i]), pts[i].tolist()
+            if dump:
+                np.savetxt(dump, np.hstack([pts, want, got, per_point[:, None]]), delimiter=",")
+        finished = True
     except RealizationUndefinedError as e:
         _emit({"error": "no-fire", "detail": str(e)})
         return EXIT_NO_FIRE
-
-    err = np.abs(got - want)
-    per_point = err.max(axis=1)
-    imax = int(np.argmax(per_point))
-    max_err = float(per_point[imax])
+    finally:
+        if dump:
+            dump.close()
+            if not finished:
+                os.remove(args.dump_grid)
     ok = max_err <= args.tol
-    if args.dump_grid:
-        header = (
-            [f"x{i + 1}" for i in range(pts.shape[1])]
-            + [f"ann{j + 1}" for j in range(want.shape[1])]
-            + [f"snn{j + 1}" for j in range(got.shape[1])]
-            + ["err"]
-        )
-        table = np.hstack([pts, want, got, per_point[:, None]])
-        np.savetxt(
-            args.dump_grid, table, delimiter=",", header=",".join(header), comments=""
-        )
     _emit(
         {
             "max_err": max_err,
-            "argmax_point": pts[imax].tolist(),
+            "argmax_point": argmax_point,
             "pass": bool(ok),
             "grid": args.grid,
             "tol": args.tol,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +16,19 @@ from spikec import (
     EncodingSpec,
     InvalidParameterError,
     Layer,
+    RealizationUndefinedError,
     ReluNetwork,
     SpikingNetwork,
     TypedSNN,
     single_neuron_network,
 )
+from spikec import cli
+from spikec.ann_core import ann_forward
 from spikec.cli import main
-from spikec.compiler import build_example_3_1, build_example_3_1_ann
+from spikec.compiler import build_example_3_1, build_example_3_1_ann, compile_ann
 from spikec.serialization import (
     dumps_canonical,
+    load_ann,
     load_snn,
     save_ann,
     save_snn,
@@ -345,3 +350,214 @@ def test_help_still_exits_zero(capsys):
             main(args)
         assert e.value.code == 0
         assert "usage: spikec" in capsys.readouterr().out
+
+
+# -- verify streams its grid ---------------------------------------------------
+
+
+def _dyadic_ann():
+    # Weights in quarters and biases in eighths: on a grid of [-1, 1] with
+    # 9 points per axis every ANN value is exact, so its rows do not depend
+    # on the shape of the BLAS call that computes them.
+    rng = np.random.default_rng(3)
+    return ReluNetwork((
+        (rng.integers(-8, 9, (3, 2)) / 4, rng.integers(-8, 9, 3) / 8),
+        (rng.integers(-8, 9, (3, 3)) / 4, rng.integers(-8, 9, 3) / 8),
+        (rng.integers(-8, 9, (1, 3)) / 4, rng.integers(-8, 9, 1) / 8),
+    ))
+
+
+def _normal_ann():
+    # 2 inputs, N(0, 1) weights and biases, widths 3, 3, 1.
+    rng = np.random.default_rng(11)
+    return ReluNetwork(tuple(
+        (rng.normal(size=(rows, 2 if i == 0 else 3)), rng.normal(size=rows))
+        for i, rows in enumerate((3, 3, 1))
+    ))
+
+
+def _verify_files(tmp_path, label, ann, perturb=0.0):
+    ann_path, snn_path = tmp_path / f"{label}.ann.json", tmp_path / f"{label}.snn.json"
+    save_ann(ann_path, ann)
+    typed, _ = compile_ann(ann, Box.cube(-1, 1, ann.input_dim))
+    doc = snn_to_dict(typed)
+    doc["layers"][0]["W"][0][0] += perturb
+    snn_path.write_text(dumps_canonical(doc))
+    return str(ann_path), str(snn_path)
+
+
+def _whole_grid_verify(ann_path, snn_path, grid, tol):
+    """verify's exit code and reply, from one pass over the whole grid."""
+    ann, snn = load_ann(ann_path), load_snn(snn_path)
+    pts = snn.enc.domain.grid(grid)
+    want = ann_forward(ann, pts)
+    try:
+        got = snn.realize_batch(pts)
+    except RealizationUndefinedError:
+        return 2, None
+    per_point = np.abs(got - want).max(axis=1)
+    i = int(np.argmax(per_point))
+    ok = bool(per_point[i] <= tol)
+    out = {"max_err": float(per_point[i]), "argmax_point": pts[i].tolist(), "pass": ok}
+    return (0 if ok else 4), out
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("chunk", [1, 7, cli.VERIFY_CHUNK_POINTS])
+def test_streamed_verify_matches_the_whole_grid(capsys, tmp_path, monkeypatch, chunk, threads):
+    default_chunk = chunk == cli.VERIFY_CHUNK_POINTS
+    monkeypatch.setattr(cli, "VERIFY_CHUNK_POINTS", chunk)
+    monkeypatch.setenv("SPIKEC_THREADS", threads)
+    ann = _dyadic_ann()
+    cases = [
+        # A wrong weight: a different error at every point, exit 4.
+        (*_verify_files(tmp_path, "off", ann, 1e-3), 9, 1e-9),
+        # Exact everywhere: the first grid point is the argmax.
+        (*_verify_files(tmp_path, "exact", ann), 9, 0.0),
+        (*_never_firing_verify_files(tmp_path), 9, 1e-9),
+    ]
+    if default_chunk:
+        # 40000 points in two or three chunks.  Rows of ann_forward match
+        # the whole grid's only in calls of more than a few rows, so N(0, 1)
+        # weights are checked at the real chunk size only.
+        cases.append((*_verify_files(tmp_path, "normal", _normal_ann()), 200, 1e-9))
+    outs = []
+    for ann_path, snn_path, grid, tol in cases:
+        want_code, want = _whole_grid_verify(ann_path, snn_path, grid, tol)
+        code, out = run_cli(
+            capsys, "verify", "--ann", ann_path, "--snn", snn_path,
+            "--grid", str(grid), f"--tol={tol}",
+        )
+        assert code == want_code
+        if want is None:
+            assert out["error"] == "no-fire"
+        else:
+            assert {k: out[k] for k in want} == want
+        outs.append((code, out))
+    assert [code for code, _ in outs[:3]] == [4, 0, 2]
+    assert outs[1][1]["max_err"] == 0.0 and outs[1][1]["argmax_point"] == [-1.0, -1.0]
+
+
+def test_verify_chunks_cover_the_grid_in_aligned_bounded_runs():
+    size = cli.VERIFY_CHUNK_POINTS
+    align = size // 16
+    for total in (1, 7, align, 2 * align - 1, 2 * align, 6561, 14641, 2 * size - 1,
+                  160000, 10**6 + 3, 2**40 + 17):
+        for threads in (1, 2, 3, 4):
+            count, start = cli._chunks(total, threads)
+            assert start(0) == 0 and start(count) == total
+            for i in {*range(min(count, 50)), count - 1}:
+                assert start(i) % align == 0
+                assert min(align, total) <= start(i + 1) - start(i) < 2 * size + align
+            if total >= threads * (2 * align - 1):
+                assert count % threads == 0
+
+
+def test_grid_rows_are_slices_of_the_whole_grid():
+    rng = np.random.default_rng(0)
+    for d in (1, 2, 3, 4):
+        for n in (1, 2, 3, 7, 10):
+            lo = rng.uniform(-5, 5, d)
+            # A degenerate axis, a denormal-width axis and ordinary ones.
+            hi = lo + rng.choice([0.0, 1e-310, 0.3, 4.0], d)
+            if d == 2:
+                # (n - 1) * step + lo rounds to 0.7000000000000002 here;
+                # linspace's last value is hi itself.
+                lo[1], hi[1] = -2.3, 0.7
+            box = Box(lo, hi)
+            axes = [np.linspace(box.lo[i], box.hi[i], n) for i in range(d)]
+            whole = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+            assert box.grid(n).tobytes() == whole.tobytes()
+            total = n**d
+            assert box.grid_size(n) == total
+            for start, stop in [(0, total), (0, 0), (total, total), (total - 1, total),
+                                *(sorted(rng.integers(0, total + 1, 2)) for _ in range(5))]:
+                rows = box.grid(n, start, stop)
+                assert rows.shape == (stop - start, d)
+                assert rows.tobytes() == whole[start:stop].tobytes()
+    box = Box.cube(-1, 1, 2)
+    for start, stop in ((-1, 2), (3, 2), (0, 10)):
+        with pytest.raises(InvalidParameterError):
+            box.grid(3, start, stop)
+
+
+def test_oversize_grid_is_bad_input(capsys, tmp_path):
+    net = single_neuron_network([1.0] * 4, [0.0] * 4, 1.0)
+    snn_path, ann_path = tmp_path / "snn.json", tmp_path / "ann.json"
+    save_snn(snn_path, TypedSNN(net, EncodingSpec(0.0, 1.0, Box.cube(0, 1, 4))))
+    save_ann(ann_path, ReluNetwork(((np.ones((1, 4)), np.zeros(1)),)))
+    # 100000^4 = 1e20 points overflow an int64 index.
+    code, out = run_cli(
+        capsys, "verify", "--ann", str(ann_path), "--snn", str(snn_path), "--grid", "100000"
+    )
+    assert code == 1
+    assert out["error"] == "bad-input"
+    assert "int64" in out["detail"]
+    line = Box.cube(0, 1, 1)
+    assert line.grid_size(2**63 - 1) == 2**63 - 1
+    with pytest.raises(InvalidParameterError):
+        line.grid_size(2**63)
+    # A slice of a grid with an int64-sized axis costs only its own rows;
+    # the last points of so fine an axis round to its end.
+    assert line.grid(2**63 - 1, 2**63 - 3).tolist() == [[1.0], [1.0]]
+
+
+def test_thread_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("SPIKEC_THREADS", raising=False)
+    for cpus, want in (({0}, 1), ({2, 5}, 2), (set(range(8)), 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c, raising=False)
+        assert cli._thread_count() == want
+        monkeypatch.setenv("SPIKEC_THREADS", "3")
+        assert cli._thread_count() == 3
+        monkeypatch.delenv("SPIKEC_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._thread_count() == 2
+
+
+def test_dump_grid_is_the_whole_table(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "VERIFY_CHUNK_POINTS", 7)
+    monkeypatch.setenv("SPIKEC_THREADS", "2")
+    ann_path, snn_path = _verify_files(tmp_path, "off", _dyadic_ann(), 1e-3)
+    csv_path = tmp_path / "grid.csv"
+    code, _ = run_cli(
+        capsys, "verify", "--ann", ann_path, "--snn", snn_path,
+        "--grid", "9", "--dump-grid", str(csv_path),
+    )
+    assert code == 4
+    ann, snn = load_ann(ann_path), load_snn(snn_path)
+    pts = snn.enc.domain.grid(9)
+    want, got = ann_forward(ann, pts), snn.realize_batch(pts)
+    table = np.hstack([pts, want, got, np.abs(got - want).max(axis=1)[:, None]])
+    ref_path = tmp_path / "ref.csv"
+    np.savetxt(ref_path, table, delimiter=",", header="x1,x2,ann1,snn1,err", comments="")
+    assert csv_path.read_bytes() == ref_path.read_bytes()
+    # A run that stops early leaves no dump.
+    ann_path, snn_path = _never_firing_verify_files(tmp_path)
+    code, _ = run_cli(
+        capsys, "verify", "--ann", ann_path, "--snn", snn_path,
+        "--grid", "9", "--dump-grid", str(csv_path),
+    )
+    assert code == 2
+    assert not csv_path.exists()
+
+
+def test_verify_memory_does_not_grow_with_the_grid(capsys, tmp_path, monkeypatch):
+    # One thread, so the peak is one chunk's working set.  181^2 = 32761
+    # points is a single chunk of the largest size verify makes; 362^2 is
+    # four times the points in seven chunks.
+    monkeypatch.setenv("SPIKEC_THREADS", "1")
+    ann_path, snn_path = _verify_files(tmp_path, "normal", _normal_ann())
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--ann", ann_path, "--snn", snn_path, "--grid", str(grid)])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    (code_small, small), (code_large, large) = peak(181), peak(362)
+    assert code_small == code_large == 0
+    assert large <= 1.5 * small + 65536
