@@ -77,14 +77,19 @@ class ReluNetwork:
 
 
 def ann_forward(net: ReluNetwork, x) -> np.ndarray:
-    """Evaluate on one input or a (batch, input_dim) array; the last layer is affine."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Evaluate on one input or a (batch, input_dim) array; the last layer is affine.
+
+    Each row's bits are independent of the batch: numpy's sum-of-products
+    loop sums a C-contiguous row in its own order, where BLAS rounds a row
+    by the shape of the call and its thread count.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim > 2 or x.shape[-1] != net.input_dim:
         raise DimensionError(f"input must have trailing dimension {net.input_dim}")
     for a, b in net.layers[:-1]:
-        x = np.maximum(0.0, x @ a.T + b)
+        x = np.maximum(0.0, np.einsum("...i,oi->...o", x, a) + b)
     a, b = net.layers[-1]
-    return x @ a.T + b
+    return np.einsum("...i,oi->...o", x, a) + b
 
 
 def layer_range_bound(A: np.ndarray, B: np.ndarray, domain: Box) -> Box:

@@ -50,9 +50,11 @@ class Box:
         return float(np.max(self.hi - self.lo))
 
     def contains(self, x) -> bool:
+        """Whether x, or every row of a (batch, dim) x, lies in the box up to CONTAINS_TOL."""
         x = np.asarray(x, dtype=float)
-        if x.shape != self.lo.shape:
-            raise DimensionError(f"point has dimension {x.size}, box {self.dim}")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            n = np.atleast_1d(x).shape[-1]
+            raise DimensionError(f"point has dimension {n}, box {self.dim}")
         lo, hi = self.lo - CONTAINS_TOL, self.hi + CONTAINS_TOL
         return bool(np.all(x >= lo) and np.all(x <= hi))
 

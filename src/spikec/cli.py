@@ -18,9 +18,7 @@ import numpy as np
 from .ann_core import ann_forward
 from .boxes import Box
 from .compiler import compile_ann
-from .errors import (
-    DomainViolationError, InvalidParameterError, RealizationUndefinedError, SpikecError
-)
+from .errors import DimensionError, InvalidParameterError, RealizationUndefinedError, SpikecError
 from .regions import empirical_region_count, enumerate_regions
 from .serialization import (
     FileFormatError,
@@ -29,7 +27,7 @@ from .serialization import (
     load_snn,
     save_snn,
 )
-from .snn_core import _neuron_arrivals, finite, network_trace, oracle_firing_time, realize
+from .snn_core import _neuron_arrivals, finite, network_trace, oracle_firing_time
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 1
@@ -55,19 +53,16 @@ def _parse_csv(text: str) -> np.ndarray:
 def cmd_simulate(args) -> int:
     t = load_snn(args.network)
     x = _parse_csv(args.input)
-    try:
-        out = realize(t.net, t.enc, x)
-    except DomainViolationError:
+    if not t.enc.domain.contains(x):
         _emit({"error": "domain-violation", "input": x.tolist()})
         return EXIT_DOMAIN
-    except RealizationUndefinedError:
-        trace = network_trace(t.net, tuple(finite(t.enc.t_in_ref + xi) for xi in x))
-        idx = next(i for i, ft in enumerate(trace[-1]) if not ft.fires)
-        _emit({"error": "no-fire", "neuron": idx})
+    trace = network_trace(t.net, tuple(finite(t.enc.t_in_ref + xi) for xi in x))
+    silent = [i for i, ft in enumerate(trace[-1]) if not ft.fires]
+    if silent:
+        _emit({"error": "no-fire", "neuron": silent[0]})
         return EXIT_NO_FIRE
-    result: dict = {"output": out.tolist()}
+    result: dict = {"output": [ft.time - t.enc.t_out_ref for ft in trace[-1]]}
     if args.trace:
-        trace = network_trace(t.net, tuple(finite(t.enc.t_in_ref + xi) for xi in x))
         result["trace"] = [[ft.time for ft in layer] for layer in trace]
     _emit(result)
     return EXIT_OK
@@ -124,19 +119,13 @@ def _chunks(total: int, n_threads: int):
 
     The runs are nearly equal, at least one per VERIFY_CHUNK_POINTS points,
     and as many as a multiple of the thread count, so that the threads
-    finish together.  Each starts at a multiple of `align` rows and is at
-    least that long (or the whole grid): BLAS picks its kernel by the
-    matrix's shape and groups rows from the first, so an ``ann_forward``
-    call of a few rows, or one whose rows are grouped differently, can round
-    them differently from one whole-grid call.
+    finish together, but at most one per point.
     """
-    align = max(1, VERIFY_CHUNK_POINTS // 16)
     count = -(-max(1, total // VERIFY_CHUNK_POINTS) // n_threads) * n_threads
-    # At most one run per 2 * align - 1 rows keeps every run >= align rows.
-    count = min(count, max(1, total // (2 * align - 1)))
+    count = min(count, total)
 
     def start(i: int) -> int:
-        return total if i == count else i * total // count // align * align
+        return i * total // count
 
     return count, start
 
@@ -174,6 +163,9 @@ def cmd_verify(args) -> int:
     n_threads = _thread_count()
     ann = load_ann(args.ann)
     snn = load_snn(args.snn)
+    if (ann.input_dim, ann.output_dim) != (snn.net.input_dim, snn.net.output_dim):
+        raise DimensionError(f"the ANN maps {ann.input_dim} inputs to {ann.output_dim} "
+                             f"outputs, the SNN {snn.net.input_dim} to {snn.net.output_dim}")
     box, n = snn.enc.domain, args.grid
     total = box.grid_size(n)
     n_chunks, start = _chunks(total, n_threads)

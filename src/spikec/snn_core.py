@@ -395,8 +395,6 @@ def realize(net: SpikingNetwork, enc: EncodingSpec, x) -> np.ndarray:
     if any output neuron never fires.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if enc.domain.dim != net.input_dim:
-        raise DimensionError("encoding domain dimension does not match network")
     if not enc.domain.contains(x):
         raise DomainViolationError(f"input {x.tolist()} outside declared domain")
     inputs = tuple(finite(enc.t_in_ref + xi) for xi in x)
@@ -508,6 +506,8 @@ def realize_batch(net: SpikingNetwork, enc: EncodingSpec, xs: np.ndarray) -> np.
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != net.input_dim:
         raise DimensionError("batch inputs must have shape (batch, input_dim)")
+    if not enc.domain.contains(xs):
+        raise DomainViolationError("some batch inputs lie outside the declared domain")
     aux = np.broadcast_to(
         np.asarray(net.aux_input_times, dtype=float), (xs.shape[0], net.n_aux)
     )

@@ -48,9 +48,26 @@ def test_batch_forward_matches_row_by_row():
     xs = rng.uniform(-2, 2, (40, 3))
     got = ann_forward(net, xs)
     assert got.shape == (40, 2)
-    # Matrix-matrix and matrix-vector products may round differently.
     want = np.array([ann_forward(net, x) for x in xs])
-    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rows_do_not_depend_on_the_batch():
+    # BLAS rounds a row by the shape of the call it is in; ann_forward must
+    # give every row the same bits alone, in any slice or copy, in any layout.
+    rng = np.random.default_rng(8)
+    for width in range(1, 129):
+        net = ReluNetwork(tuple(
+            (rng.normal(size=(width, width)), rng.normal(size=width)) for _ in range(2)
+        ) + ((rng.normal(size=(2, width)), rng.normal(size=2)),))
+        xs = rng.uniform(-1, 1, (200, width))
+        whole = ann_forward(net, xs)
+        for rows in (slice(0, 1), slice(1, 2), slice(3, 50), slice(7, 200), slice(1, 199, 3)):
+            assert ann_forward(net, xs[rows]).tobytes() == whole[rows].tobytes()
+        assert ann_forward(net, xs[5:190].copy()).tobytes() == whole[5:190].tobytes()
+        assert ann_forward(net, np.asfortranarray(xs)).tobytes() == whole.tobytes()
+        for k in (0, 1, 77, 199):
+            assert ann_forward(net, xs[k]).tobytes() == whole[k].tobytes()
 
 
 def test_batch_forward_dimension_check():

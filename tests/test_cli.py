@@ -357,8 +357,7 @@ def test_help_still_exits_zero(capsys):
 
 def _dyadic_ann():
     # Weights in quarters and biases in eighths: on a grid of [-1, 1] with
-    # 9 points per axis every ANN value is exact, so its rows do not depend
-    # on the shape of the BLAS call that computes them.
+    # 9 points per axis every ANN value is exact.
     rng = np.random.default_rng(3)
     return ReluNetwork((
         (rng.integers(-8, 9, (3, 2)) / 4, rng.integers(-8, 9, 3) / 8),
@@ -415,12 +414,10 @@ def test_streamed_verify_matches_the_whole_grid(capsys, tmp_path, monkeypatch, c
         # Exact everywhere: the first grid point is the argmax.
         (*_verify_files(tmp_path, "exact", ann), 9, 0.0),
         (*_never_firing_verify_files(tmp_path), 9, 1e-9),
+        # N(0, 1) weights: ANN values that round, in 40000 points in two or
+        # three chunks at the default size, or 1600 in runs of 1 or 7 rows.
+        (*_verify_files(tmp_path, "normal", _normal_ann()), 200 if default_chunk else 40, 1e-9),
     ]
-    if default_chunk:
-        # 40000 points in two or three chunks.  Rows of ann_forward match
-        # the whole grid's only in calls of more than a few rows, so N(0, 1)
-        # weights are checked at the real chunk size only.
-        cases.append((*_verify_files(tmp_path, "normal", _normal_ann()), 200, 1e-9))
     outs = []
     for ann_path, snn_path, grid, tol in cases:
         want_code, want = _whole_grid_verify(ann_path, snn_path, grid, tol)
@@ -438,19 +435,45 @@ def test_streamed_verify_matches_the_whole_grid(capsys, tmp_path, monkeypatch, c
     assert outs[1][1]["max_err"] == 0.0 and outs[1][1]["argmax_point"] == [-1.0, -1.0]
 
 
-def test_verify_chunks_cover_the_grid_in_aligned_bounded_runs():
+def test_verify_rejects_mismatched_dimensions(capsys, tmp_path):
+    rng = np.random.default_rng(5)
+
+    def ann(n_in, n_out):
+        return ReluNetwork((
+            (rng.normal(size=(3, n_in)), rng.normal(size=3)),
+            (rng.normal(size=(n_out, 3)), rng.normal(size=n_out)),
+        ))
+
+    one_out = _verify_files(tmp_path, "one", ann(2, 1))[1]
+    two_out = _verify_files(tmp_path, "two", ann(2, 2))[1]
+    dump = tmp_path / "grid.csv"
+    # Every pair is refused before any grid work, so no dump is opened.
+    for label, other, snn_path in (("3to1", ann(2, 3), one_out),
+                                   ("3to2", ann(2, 3), two_out),
+                                   ("inputs", ann(3, 1), one_out)):
+        ann_path = tmp_path / f"{label}.ann.json"
+        save_ann(ann_path, other)
+        code, out = run_cli(
+            capsys, "verify", "--ann", str(ann_path), "--snn", snn_path,
+            "--dump-grid", str(dump),
+        )
+        assert code == 1
+        assert out["error"] == "bad-input" and "inputs" in out["detail"]
+        assert not dump.exists()
+
+
+def test_verify_chunks_cover_the_grid_in_even_bounded_runs():
     size = cli.VERIFY_CHUNK_POINTS
-    align = size // 16
-    for total in (1, 7, align, 2 * align - 1, 2 * align, 6561, 14641, 2 * size - 1,
-                  160000, 10**6 + 3, 2**40 + 17):
+    for total in (1, 2, 3, 7, 1023, 6561, 14641, size, 2 * size - 1, 160000,
+                  10**6 + 3, 2**40 + 17):
         for threads in (1, 2, 3, 4):
             count, start = cli._chunks(total, threads)
             assert start(0) == 0 and start(count) == total
-            for i in {*range(min(count, 50)), count - 1}:
-                assert start(i) % align == 0
-                assert min(align, total) <= start(i + 1) - start(i) < 2 * size + align
-            if total >= threads * (2 * align - 1):
+            assert total // size <= count <= total
+            if total >= threads:
                 assert count % threads == 0
+            runs = {start(i + 1) - start(i) for i in {*range(min(count, 50)), count - 1}}
+            assert 1 <= min(runs) and max(runs) - min(runs) <= 1 and max(runs) < 2 * size
 
 
 def test_grid_rows_are_slices_of_the_whole_grid():

@@ -22,6 +22,7 @@ from spikec import (
     realize_batch,
     single_neuron_network,
 )
+from spikec.boxes import CONTAINS_TOL
 
 
 def identity_layer():
@@ -122,6 +123,26 @@ def test_realize_requires_domain_membership():
     assert realize(net, enc, [0.5])[0] == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(DomainViolationError):
         realize(net, enc, [2.0])
+
+
+def test_realize_batch_requires_domain_membership():
+    net = single_neuron_network([1.0, 1.0], [0.0, 0.0], 1.0)
+    enc = EncodingSpec(0.0, 3.0, Box([-1.0, 0.0], [1.0, 2.0]))
+    # Corners, an edge point, and a corner widened by CONTAINS_TOL lie inside.
+    edge = np.array([[-1.0, 0.0], [1.0, 2.0], [0.3, 0.0],
+                     [-1.0 - CONTAINS_TOL, 2.0 + CONTAINS_TOL]])
+    assert enc.domain.contains(edge)
+    want = np.array([realize(net, enc, x) for x in edge])
+    assert np.allclose(realize_batch(net, enc, edge), want, rtol=0, atol=1e-12)
+    for bad in ([1.0 + 2 * CONTAINS_TOL, 1.0], [0.0, -2 * CONTAINS_TOL], [np.nan, 1.0]):
+        xs = np.vstack([edge, bad])
+        assert not enc.domain.contains(xs)
+        with pytest.raises(DomainViolationError):
+            realize_batch(net, enc, xs)
+        with pytest.raises(DomainViolationError):
+            realize(net, enc, bad)
+    with pytest.raises(DimensionError):
+        enc.domain.contains(np.zeros((2, 3)))
 
 
 def test_realize_errors_on_silent_output():
