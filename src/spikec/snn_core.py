@@ -78,9 +78,9 @@ class Layer:
     """One synaptic layer: weights, delays and thresholds.
 
     ``weights`` and ``delays`` have shape (fan_in, fan_out); entry [u, v] is
-    the synapse from input u to output v.  Delays are nonnegative, thresholds
-    strictly positive.  Weights carry the excitatory/inhibitory sign and may
-    be any real; a zero weight encodes an absent synapse.
+    the synapse from input u to output v.  Every entry is finite; delays are
+    nonnegative, thresholds strictly positive.  Weights carry the
+    excitatory/inhibitory sign; a zero weight encodes an absent synapse.
     """
 
     weights: np.ndarray
@@ -95,7 +95,12 @@ class Layer:
             raise DimensionError("weights and delays must have equal shape")
         if th.shape != (w.shape[1],):
             raise DimensionError("thresholds must have one entry per output neuron")
-        if np.any(d < 0):
+        # A zero-stride axis repeats one entry, so one of them is checked
+        # (compiled delays are one zero-stride view of zero).
+        dd = d[tuple(slice(None, 1) if s == 0 else slice(None) for s in d.strides)]
+        if not (np.isfinite(w).all() and np.isfinite(dd).all() and np.isfinite(th).all()):
+            raise InvalidParameterError("weights, delays and thresholds must be finite")
+        if np.any(dd < 0):
             raise InvalidParameterError("delays must be nonnegative")
         if np.any(th <= 0):
             raise InvalidParameterError("thresholds must be positive")
@@ -415,6 +420,28 @@ def realize(net: SpikingNetwork, enc: EncodingSpec, x) -> np.ndarray:
 KERNEL_CHUNK_ELEMS = 1 << 15
 
 
+def _arrivals(rows: np.ndarray, src: np.ndarray, d) -> np.ndarray:
+    """Arrival times ``rows[:, src] + d``, with +inf for Never."""
+    arr = rows[:, src] + d
+    arr[np.isnan(arr)] = np.inf
+    return arr
+
+
+def _accept(theta, wsum, wasum, last, nxt):
+    """Candidate firing time of an arrival prefix, and whether it is accepted.
+
+    The prefix has weight sum ``wsum``, weighted arrival sum ``wasum`` and
+    latest arrival ``last``; ``nxt`` is the earliest arrival after it (+inf
+    when none).  This is the rule of :func:`resolve_firing_time`: the
+    candidate (theta + wasum) / wsum is accepted when the weight sum is
+    positive, the candidate is finite, strictly after ``last`` (a finite
+    arrival) and no later than ``nxt``.  Everything broadcasts elementwise.
+    """
+    cand = (theta + wasum) / wsum
+    ok = (wsum > 0) & np.isfinite(last) & np.isfinite(cand) & (cand > last) & (cand <= nxt)
+    return cand, ok
+
+
 def _first_crossing(arr_s: np.ndarray, w_s: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The prefix-scan rule of :func:`resolve_firing_time` along the last axis.
 
@@ -423,15 +450,34 @@ def _first_crossing(arr_s: np.ndarray, w_s: np.ndarray, theta: np.ndarray) -> np
     other and ``theta`` against the result without its last axis.  Returns
     the first accepted candidate of each scan, NaN where none is accepted.
     """
-    finite_mask = np.isfinite(arr_s)
     wcum = np.cumsum(w_s, axis=-1)
-    scum = np.cumsum(w_s * np.where(finite_mask, arr_s, 0.0), axis=-1)
-    cand = (theta[..., None] + scum) / wcum
-    valid = (wcum > 0) & finite_mask & np.isfinite(cand) & (cand > arr_s)
-    valid[..., :-1] &= cand[..., :-1] <= arr_s[..., 1:]
-    first = np.argmax(valid, axis=-1)[..., None]
+    scum = np.cumsum(w_s * np.where(np.isfinite(arr_s), arr_s, 0.0), axis=-1)
+    nxt = np.empty_like(arr_s)
+    nxt[..., :-1] = arr_s[..., 1:]
+    nxt[..., -1] = np.inf
+    cand, ok = _accept(theta[..., None], wcum, scum, arr_s, nxt)
+    first = np.argmax(ok, axis=-1)[..., None]
     picked = np.take_along_axis(cand, first, axis=-1)[..., 0]
-    return np.where(valid.any(axis=-1), picked, np.nan)
+    return np.where(ok.any(axis=-1), picked, np.nan)
+
+
+def _first_crossing_of_two(a0, w0, a1, w1, theta):
+    """:func:`_first_crossing` unrolled over a scan of two arrivals.
+
+    ``a0``, ``a1`` are the two arrivals in input order (+inf for Never or
+    padding) and ``w0``, ``w1`` their weights.  The strict ``a1 < a0`` puts
+    them in the order of the stable sort (equal arrivals keep input order),
+    and the two prefixes are summed in that order, as the cumulative sums
+    are, so the result is the same bit for bit.
+    """
+    swap = a1 < a0
+    first, second = np.where(swap, a1, a0), np.where(swap, a0, a1)
+    wf, ws = np.where(swap, w1, w0), np.where(swap, w0, w1)
+    s0 = wf * np.where(np.isfinite(first), first, 0.0)
+    s1 = s0 + ws * np.where(np.isfinite(second), second, 0.0)
+    c0, ok0 = _accept(theta, wf, s0, first, second)
+    c1, ok1 = _accept(theta, wf + ws, s1, second, np.inf)
+    return np.where(ok0, c0, np.where(ok1, c1, np.nan))
 
 
 def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
@@ -451,6 +497,14 @@ def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
       one weight per row.  A zero weight cannot move a candidate time, so
       both give the same result bit for bit.
 
+    When ``src`` is per output and k <= 2, as in a compiled ReLU stage,
+    there is nothing to sort: slots 0 and 1 are read as two (rows,
+    fan_out) arrays, and the strict ``a1 < a0`` swaps them into the order
+    the stable sort gives (equal arrivals keep input order).  The two
+    prefixes are summed in that order, as the cumulative sums add them, and
+    judged by the same acceptance tests, so the result is the same bit for
+    bit.
+
     The batch is walked in chunks of rows so that every temporary holds at
     most KERNEL_CHUNK_ELEMS elements, or one row's worth.
     """
@@ -463,7 +517,8 @@ def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
     k = int(counts.max(initial=0))
     if k == 0:
         return out
-    if 2 * k >= fan_in and not layer.delays.any():
+    shared = 2 * k >= fan_in and not layer.delays.any()
+    if shared:
         # Row i of the table holds input i's weight to every output.
         src, d, table, row0 = np.arange(fan_in)[None], 0.0, layer.weights, 0
     else:
@@ -475,11 +530,24 @@ def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
         # Row j*k + i of the table holds output j's weight from src[j, i].
         table = np.where(pad, 0.0, layer.weights[src, cols]).reshape(-1, 1)
         row0 = cols * k
-    step = max(1, KERNEL_CHUNK_ELEMS // (fan_out * src.shape[1]))
+    # The two-position scan's temporaries are (rows, fan_out); with k = 1,
+    # slot 1 is padding (+inf, weight 0).
+    pair = not shared and k <= 2
+    if pair:
+        w = table.reshape(fan_out, k)
+    step = max(1, KERNEL_CHUNK_ELEMS // (fan_out * (1 if pair else src.shape[1])))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, batch, step):
-            arr = times[lo : lo + step][:, src] + d
-            arr[np.isnan(arr)] = np.inf
+            rows = times[lo : lo + step]
+            if pair:
+                a1, w1 = np.inf, 0.0
+                if k == 2:
+                    a1, w1 = _arrivals(rows, src[:, 1], d[:, 1]), w[:, 1]
+                out[lo : lo + step] = _first_crossing_of_two(
+                    _arrivals(rows, src[:, 0], d[:, 0]), w[:, 0], a1, w1, layer.thresholds
+                )
+                continue
+            arr = _arrivals(rows, src, d)
             order = np.argsort(arr, axis=-1, kind="stable")
             arr_s = np.take_along_axis(arr, order, axis=-1)
             # The gathered rows are (rows, 1, fan_in, fan_out) or (rows,

@@ -375,6 +375,16 @@ def _normal_ann():
     ))
 
 
+def _wide_normal_ann():
+    # 2 inputs, N(0, 1) weights and biases, widths 16, 16, 1: wide enough
+    # that a BLAS product rounds a row by the shape of the call it is in.
+    rng = np.random.default_rng(12)
+    return ReluNetwork(tuple(
+        (rng.normal(size=(rows, cols)), rng.normal(size=rows))
+        for rows, cols in ((16, 2), (16, 16), (1, 16))
+    ))
+
+
 def _verify_files(tmp_path, label, ann, perturb=0.0):
     ann_path, snn_path = tmp_path / f"{label}.ann.json", tmp_path / f"{label}.snn.json"
     save_ann(ann_path, ann)
@@ -417,6 +427,9 @@ def test_streamed_verify_matches_the_whole_grid(capsys, tmp_path, monkeypatch, c
         # N(0, 1) weights: ANN values that round, in 40000 points in two or
         # three chunks at the default size, or 1600 in runs of 1 or 7 rows.
         (*_verify_files(tmp_path, "normal", _normal_ann()), 200 if default_chunk else 40, 1e-9),
+        # A row-dependent ANN evaluation gives this network other bits in
+        # runs of 1 or 7 rows than in one whole-grid call.
+        (*_verify_files(tmp_path, "wide", _wide_normal_ann()), 40, 1e-9),
     ]
     outs = []
     for ann_path, snn_path, grid, tol in cases:

@@ -139,6 +139,72 @@ def test_shared_order_matches_reference_on_zero_delay_layers(monkeypatch, chunk)
     assert min(sides.values()) > 0, sides
 
 
+def two_synapse_layer(rng, fan_in, fan_out):
+    # At most two live synapses per output, with delays, or with zero delays
+    # and a fan-in above 2k, so the layer takes the per-output order.
+    w = np.zeros((fan_in, fan_out))
+    for j in range(fan_out):
+        live = rng.choice(fan_in, size=min(fan_in, int(rng.integers(0, 3))), replace=False)
+        w[live, j] = rng.normal(0.0, 1.0, live.size)
+    if rng.random() < 0.5:
+        d = rng.integers(0, 3, w.shape) * 0.5
+    else:
+        d = np.zeros(w.shape)
+    return Layer(w, d, rng.uniform(0.1, 3.0, fan_out))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, snn_core.KERNEL_CHUNK_ELEMS])
+def test_two_synapse_layers_match_reference(monkeypatch, chunk):
+    # Layers whose widest live column has k <= 2 skip the sort: the two
+    # arrivals are ordered by one comparison and resolved in closed form.
+    monkeypatch.setattr(snn_core, "KERNEL_CHUNK_ELEMS", chunk)
+    rng = np.random.default_rng(200 + chunk)
+    cases = dict.fromkeys(
+        ["k=1", "k=2 padded", "delays", "tie", "never", "negative", "positive"], 0
+    )
+    for _ in range(300):
+        fan_in, fan_out = rng.integers(1, 9, 2)
+        layer = two_synapse_layer(rng, fan_in, fan_out)
+        times = random_times(rng, int(rng.integers(1, 40)), fan_in)
+        got = layer_forward_batch(layer, times)
+        assert np.array_equal(got, dense_per_output_reference(layer, times), equal_nan=True)
+        live = layer.weights != 0
+        counts = live.sum(axis=0)
+        k = int(counts.max())
+        if k == 0 or (2 * k >= fan_in and not layer.delays.any()):
+            continue
+        cases["k=1"] += k == 1
+        cases["k=2 padded"] += k == 2 and counts.min() < 2
+        cases["delays"] += bool(layer.delays[live].any())
+        cases["never"] += bool(np.isnan(times[:, live.any(axis=1)]).any())
+        cases["negative"] += bool((layer.weights < 0).any())
+        cases["positive"] += bool((layer.weights > 0).any())
+        for j in np.flatnonzero(counts == 2):
+            i0, i1 = np.flatnonzero(live[:, j])
+            a0 = times[:, i0] + layer.delays[i0, j]
+            cases["tie"] += bool((a0 == times[:, i1] + layer.delays[i1, j]).any())
+    assert min(cases.values()) > 0, cases
+
+
+def test_network_forward_batch_calls_each_layer_through_the_module():
+    # The benchmark's tracer times each layer by patching
+    # snn_core.layer_forward_batch, so the network pass must look the kernel
+    # up there once per layer.
+    snn, _ = compile_ann(FIXED_ANN, Box.cube(-1.0, 1.0, 3))
+    kernel = snn_core.layer_forward_batch
+    seen = []
+
+    def counting(layer, times):
+        seen.append(layer)
+        return kernel(layer, times)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snn_core, "layer_forward_batch", counting)
+        realize_batch(snn.net, snn.enc, np.zeros((5, 3)))
+    assert len(seen) == snn.net.depth
+    assert all(a is b for a, b in zip(seen, snn.net.layers))
+
+
 def test_kernel_handles_empty_batch_and_silent_layer():
     layer = Layer(np.zeros((3, 2)), np.zeros((3, 2)), np.ones(2))
     assert np.isnan(layer_forward_batch(layer, np.zeros((4, 3)))).all()
@@ -147,19 +213,24 @@ def test_kernel_handles_empty_batch_and_silent_layer():
 
 def test_kernel_temporaries_do_not_grow_with_the_batch():
     rng = np.random.default_rng(3)
-    layer = Layer(rng.normal(size=(16, 16)), np.zeros((16, 16)), np.ones(16))
+    dense = Layer(rng.normal(size=(16, 16)), np.zeros((16, 16)), np.ones(16))
+    # A compiled ReLU-stage layer: two live synapses per output.
+    snn, _ = compile_ann(random_ann(rng, 16, 2, 1.0), Box.cube(-1.0, 1.0, 16))
+    relu_stage = snn.net.layers[1]
+    assert (relu_stage.weights != 0).sum(axis=0).max() == 2
 
-    def peak(batch):
-        times = rng.uniform(-1, 1, (batch, 16))
+    def peak(layer, batch):
+        times = rng.uniform(-1, 1, (batch, layer.fan_in))
         tracemalloc.start()
         try:
             layer_forward_batch(layer, times)
-            return tracemalloc.get_traced_memory()[1] - batch * 16 * 8
+            return tracemalloc.get_traced_memory()[1] - batch * layer.fan_out * 8
         finally:
             tracemalloc.stop()
 
-    small, large = peak(2_000), peak(40_000)
-    assert large <= 1.5 * small + 65536
+    for layer in (dense, relu_stage):
+        small, large = peak(layer, 2_000), peak(layer, 40_000)
+        assert large <= 1.5 * small + 65536
 
 
 def test_subnormal_weight_sum_is_not_a_crossing():

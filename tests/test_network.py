@@ -66,6 +66,26 @@ def test_layer_validation():
         Layer(np.ones((2, 1)), np.zeros((1, 1)), np.array([1.0]))
 
 
+@pytest.mark.parametrize("weights, delays, thresholds", [
+    ([[1.0], [np.inf]], [[0.0], [0.0]], [1.0]),
+    ([[1.0], [-np.inf]], [[0.0], [0.0]], [1.0]),
+    ([[np.nan], [1.0]], [[0.0], [0.0]], [1.0]),
+    ([[1.0], [1.0]], [[0.0], [np.nan]], [1.0]),
+    ([[1.0], [1.0]], [[np.inf], [0.0]], [1.0]),
+    ([[1.0], [1.0]], [[0.0], [0.0]], [np.nan]),
+    ([[1.0], [1.0]], [[0.0], [0.0]], [np.inf]),
+    # Zero-stride delays, as compiled layers share them.
+    ([[1.0], [1.0]], np.broadcast_to(np.nan, (2, 1)), [1.0]),
+    (np.ones((2, 3)), np.broadcast_to([[0.0], [np.inf]], (2, 3)), np.ones(3)),
+], ids=["inf-weight", "minus-inf-weight", "nan-weight", "nan-delay", "inf-delay",
+        "nan-threshold", "inf-threshold", "nan-shared-delay", "inf-shared-delay"])
+def test_layer_refuses_non_finite_values(weights, delays, thresholds):
+    # A NaN threshold used to pass, and then the scalar path raised while
+    # the batch path answered Never.
+    with pytest.raises(InvalidParameterError, match="finite"):
+        Layer(np.asarray(weights), np.asarray(delays), np.asarray(thresholds))
+
+
 def test_one_layer_network_equals_layer_forward():
     net = SpikingNetwork(1, (identity_layer(),))
     out = network_forward(net, (finite(0.25),))
