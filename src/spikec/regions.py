@@ -9,19 +9,23 @@ strictly before the output fires.  On that region the firing time is
 with W = sum_{i in I} w_i > 0, and the region itself is cut out by linear
 inequalities: inputs outside I must arrive at or after t_v, inputs inside I
 strictly before.  enumerate_regions returns the candidate regions as one
-table of arrays, Regions: per region a membership row for I, the gradient,
-the offset and whether the region meets the box.  Each region is first
-tried at one closed-form point, with every input of I arriving at once, as
-early as the box allows, and every other input at the box's upper end; a
-region that point satisfies is feasible.  Row k of a region's system has
-the normal g - e_k or e_k - g, so the point is checked from the table row
-in O(d).  The inequalities are not kept; one helper, _systems, builds them
-as a (regions, d, d) array only for the regions whose point fails, which
-the simplex then decides a chunk at a time, and for a descriptor asked for
-them.  In a box big enough to hold the regions the point decides nearly
-all of them.  This yields the exact region count inside a box.  A
-finite-difference gradient clustering over a grid provides an independent
-empirical count.
+table of arrays, Regions: per region a membership row for I, the gradient
+g, the offset c and whether the region meets the box.
+
+Whether a region meets the open box is decided exactly, in one variable,
+the firing time tau = g . t + c: each input of I arrives after its box
+start and before tau, every other input can arrive at tau or later, and
+g . t must take the value tau - c while each t_i of I stays below
+tau - d_i.  Each region is tested first at its own time at the box centre,
+from its table row in O(d); in a box big enough to hold the regions that
+decides nearly all of them.  The others are searched over the d + 1 pieces
+of tau between the sorted kinks hi_k + d_k, on each of which the test is
+an intersection of intervals in closed form.  No LP and no margin is
+involved, which yields the exact region count inside a box.  The
+inequalities are not kept; _systems builds them as arrays only for a
+descriptor asked for them, and halfspaces_feasible decides an arbitrary
+system with the in-repo simplex.  A finite-difference gradient clustering
+over a grid provides an independent empirical count.
 """
 
 from __future__ import annotations
@@ -130,134 +134,43 @@ class RegionDescriptor:
         return tuple(map(Halfspace, normals, bounds.tolist(), strict.tolist()))
 
 
-def _bounds(inset, offsets, delays):
-    """The (regions, d) bounds of a stack of regions' systems."""
-    return np.where(inset, delays - offsets[:, None], offsets[:, None] - delays)
-
-
 def _systems(inset, gradients, offsets, delays):
     """The inequalities of a stack of regions, from their table rows:
     (regions, d, d) normals and (regions, d) bounds and strict flags.
 
     Input k of the subset arrives strictly before the firing time,
     (g - e_k) . t > d_k - offset, and every other input at or after it,
-    (e_k - g) . t >= offset - d_k.  Built only for the regions that go to
-    the simplex and for a descriptor asked for them.
+    (e_k - g) . t >= offset - d_k.  Built only for a descriptor asked for
+    them.
     """
     eye = np.eye(inset.shape[1])
     g = gradients[:, None, :]
     # I - g rather than -(g - I), so zero entries stay +0.0.
     normals = np.subtract(eye, g)
     np.subtract(g, eye, out=normals, where=inset[:, :, None])
-    return normals, _bounds(inset, offsets, delays), inset
-
-
-def _point(bounds, strict, box: Box):
-    """One closed-form point per system, (systems, dim).
-
-    On the strict rows t_k = max_i (lo_i + b_i) - b_k, the maximum taken
-    over the strict rows, and never below lo_k; on the other rows
-    t_k = hi_k.  On a region's system, where b_k = d_k - offset on the
-    strict rows, every input of the subset then arrives at one time, the
-    earliest the box allows, and every other input at the box's upper end.
-    """
-    lead = np.max(np.where(strict, box.lo + bounds, -np.inf), axis=1)
-    # (lo_k + b_k) - b_k can round to just below lo_k.
-    return np.where(strict, np.maximum(lead[:, None] - bounds, box.lo), box.hi)
-
-
-def _need(bounds, strict, box: Box):
-    """Bounds with the margin that shrinks the strict rows, proportional to
-    the box diameter."""
-    eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
-    return bounds + np.where(strict, eps, 0.0)
-
-
-def _zero_rows(normals):
-    """The rows with a (numerically) zero normal."""
-    return np.all(np.abs(normals) < ZERO_NORMAL_TOL, axis=2)
-
-
-def _satisfies(t, products, zero, bounds, strict, box: Box):
-    """Whether each point t satisfies its system, given every row's
-    normal . t as ``products`` and the rows with a (numerically) zero normal
-    as ``zero``: the check of the system the simplex would get.  The point
-    lies inside the box, and every row's slack is >= 0 with the strict
-    margin added, a zero-normal row being decided as a constant.  A system
-    without a strict row is never satisfied here.
-    """
-    need = _need(bounds, strict, box)
-    ok = np.where(zero, need <= 0, products - need >= 0)
-    ok &= (t >= box.lo) & (t <= box.hi)
-    return np.any(strict, axis=1) & np.all(ok, axis=1)
-
-
-def _witness(normals, bounds, strict, box: Box):
-    """The closed-form point of each system (_point) and whether it
-    satisfies the system (_satisfies).  Needs one row per input; returns the
-    (systems, dim) points and the (systems,) flags.
-    """
-    t = _point(bounds, strict, box)
-    products = np.matmul(normals, t[:, :, None])[:, :, 0]
-    return t, _satisfies(t, products, _zero_rows(normals), bounds, strict, box)
-
-
-def _row_witness(inset, gradients, offsets, delays, box: Box) -> np.ndarray:
-    """_witness's flags for a stack of regions, from their table rows in O(d)
-    each.  Row k's normal is g - e_k on the subset and e_k - g off it, so
-    its product with t is g.t - t_k or t_k - g.t, and the normal is zero
-    exactly when |g_k - 1| and every other |g_j| are below ZERO_NORMAL_TOL.
-    """
-    bounds = _bounds(inset, offsets, delays)
-    t = _point(bounds, inset, box)
-    gt = np.einsum("ij,ij->i", gradients, t)[:, None]
-    products = np.where(inset, gt - t, t - gt)
-    zero = np.abs(gradients - 1.0) < ZERO_NORMAL_TOL
-    if zero.any():
-        # Such a g_k must be its row's one entry not below the tolerance.
-        big = np.count_nonzero(~(np.abs(gradients) < ZERO_NORMAL_TOL), axis=1)
-        zero &= (big == 1)[:, None]
-    return _satisfies(t, products, zero, bounds, inset, box)
-
-
-def _simplex_feasible(normals, bounds, strict, box: Box) -> np.ndarray:
-    """The simplex's interior-point feasibility of a stack of systems, with
-    the strict rows shrunk by the margin.  A row with a zero normal is
-    decided as a constant, and then reaches the simplex as 0 <= 0.
-    Overwrites ``normals``.
-    """
-    b, zero = _need(bounds, strict, box), _zero_rows(normals)
-    decided = ~np.any(zero & (b > 0), axis=1)
-    # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
-    np.negative(normals, out=normals)
-    np.negative(b, out=b)
-    normals[zero] = 0.0
-    b[zero] = 0.0
-    return decided & feasible(normals, b, box.lo, box.hi)
+    bounds = np.where(inset, delays - offsets[:, None], offsets[:, None] - delays)
+    return normals, bounds, inset
 
 
 def halfspaces_feasible(halfspaces, box: Box) -> bool:
-    """Interior-point feasibility of one halfspace system inside a box.
-
-    A system with one row per input whose closed-form point (_witness)
-    satisfies it is feasible; the others go to the simplex.
+    """Interior-point feasibility of one arbitrary halfspace system inside a
+    box, by the simplex, with the strict rows shrunk by a margin of
+    STRICT_EPS_SCALE * max(box diameter, 1).  A row whose normal is zero
+    within ZERO_NORMAL_TOL is decided as a constant, and then reaches the
+    simplex as 0 <= 0.  Regions are decided exactly, without this margin, by
+    enumerate_regions and count_feasible.
     """
-    rows = (1, len(halfspaces))
-    normals = np.array([h.normal for h in halfspaces], dtype=float).reshape(*rows, box.dim)
-    bounds = np.array([h.bound for h in halfspaces], dtype=float).reshape(rows)
-    strict = np.array([h.strict for h in halfspaces], dtype=bool).reshape(rows)
-    if len(halfspaces) == box.dim and _witness(normals, bounds, strict, box)[1][0]:
-        return True
-    return bool(_simplex_feasible(normals, bounds, strict, box)[0])
-
-
-def _chunk(dim: int) -> int:
-    """Systems per simplex chunk: as many as have normals of CHUNK_ELEMS / 2
-    elements in all, and at least one.  A chunk's normals live only while
-    it is decided, beside a temporary of their size in _zero_rows, so a
-    chunk holds about CHUNK_ELEMS elements; the simplex cuts its own chunks
-    from these."""
-    return max(1, CHUNK_ELEMS // (2 * dim * dim))
+    normals = np.array([h.normal for h in halfspaces], dtype=float).reshape(-1, box.dim)
+    bounds = np.array([h.bound for h in halfspaces], dtype=float)
+    strict = np.array([h.strict for h in halfspaces], dtype=bool)
+    need = bounds + np.where(strict, STRICT_EPS_SCALE * max(box.diameter, 1.0), 0.0)
+    zero = np.all(np.abs(normals) < ZERO_NORMAL_TOL, axis=1)
+    if np.any(need[zero] > 0):
+        return False
+    # normal . t >= bound + margin  <=>  -normal . t <= -(bound + margin)
+    A, b = -normals, -need
+    A[zero], b[zero] = 0.0, 0.0
+    return bool(feasible(A, b, box.lo, box.hi))
 
 
 def _fill_subsets(inset, starts) -> None:
@@ -297,31 +210,41 @@ def _neuron(weights, delays, theta: float):
     return w, d
 
 
+def _check_box(box: Box, dim: int) -> None:
+    """Refuse a box of another dimension, an unbounded one, or one without
+    interior."""
+    if box.dim != dim:
+        raise DimensionError("box dimension must match the number of inputs")
+    if not (np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))):
+        raise InvalidParameterError("box bounds must be finite")
+    if not np.all(box.hi > box.lo):
+        raise InvalidParameterError("box must have positive extent on every axis")
+
+
 def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
     """All candidate regions (nonempty subsets with positive weight sum).
 
     Subsets come in order of size, then lexicographically.  Their
     membership rows are written first.  Then the rows are taken a chunk of
-    CHUNK_ELEMS // (4 d) at a time, since the gathers of one size hold about
-    four (rows, size) arrays at once: the candidates among them move up in
-    place, and their affine maps are written beside them.  Weight sums and
-    dot products reduce over each subset's own entries, one size at a time,
-    as the per-subset formulas do, so every value is what they give.  Last,
-    the candidates are decided in the box.  Beyond the table, working
-    memory does not grow with the 2^d subsets.
+    CHUNK_ELEMS // (8 d) at a time, as _decide takes them; the gathers of
+    one size hold about four (rows, size) arrays at once.  The candidates
+    among them move up in place, and their affine maps are written beside
+    them.  Weight sums and dot products reduce over each subset's own
+    entries, one size at a time, as the per-subset formulas do, so every
+    value is what they give.  Last, the candidates are decided in the box.
+    Beyond the table, working memory does not grow with the 2^d subsets.
     """
     w, d = _neuron(weights, delays, theta)
     if w.size > MAX_ENUM_DIM:
         raise InvalidParameterError(f"subset enumeration limited to d <= {MAX_ENUM_DIM}")
-    if box.dim != w.size:
-        raise DimensionError("box dimension must match the number of inputs")
+    _check_box(box, w.size)
     dim, n = w.size, (1 << w.size) - 1
     # Subsets of size r are rows starts[r - 1] to starts[r].
     starts = [0, *accumulate(comb(dim, r) for r in range(1, dim + 1))]
     inset = np.empty((n, dim), dtype=bool)
     _fill_subsets(inset, starts)
     gradients, offsets = np.zeros((n, dim)), np.empty(n)
-    step, kept = max(1, CHUNK_ELEMS // (4 * dim)), 0
+    step, kept = max(1, CHUNK_ELEMS // (8 * dim)), 0
     for s in range(0, n, step):
         e = min(s + step, n)
         W, dots = [], []
@@ -344,33 +267,94 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
 
 
 def _decide(inset, gradients, offsets, delays, box: Box) -> np.ndarray:
-    """Whether each region of the table rows meets the interior of the box.
+    """Whether each region of the table rows meets the open box.
 
-    Each region's closed-form point is checked from its table row
-    (_row_witness), CHUNK_ELEMS // (8 d) rows at a time, so that its
-    (rows, d) temporaries take no more memory than an enumeration chunk's
-    gathers.  Only the regions whose point fails get their (d, d) systems,
-    _chunk(d) at a time, for the simplex.
+    Region (I, g, c) meets it exactly when some firing time tau in (L0, U)
+    has m(tau) < tau - c < M(tau), where L0 = max_{i in I} (lo_i + d_i),
+    U = min_{k not in I} (hi_k + d_k), and m and M bound g . t as each t_i
+    of I ranges over (lo_i, min(hi_i, tau - d_i)).  Rows are taken
+    CHUNK_ELEMS // (8 d) at a time, as in the enumeration.  Each is tested
+    at one tau (_at_centre); only the rows that test rejects are searched
+    over every piece of tau (_over_pieces).
     """
     n, dim = inset.shape
+    first, last = box.lo + delays, box.hi + delays
     flags, step = np.empty(n, dtype=bool), max(1, CHUNK_ELEMS // (8 * dim))
     for s in range(0, n, step):
-        rows = slice(s, s + step)
-        flags[rows] = _row_witness(inset[rows], gradients[rows], offsets[rows], delays, box)
-    rest, step = np.flatnonzero(~flags), _chunk(dim)
-    for s in range(0, rest.size, step):
-        idx = rest[s : s + step]
-        flags[idx] = _simplex_feasible(
-            *_systems(inset[idx], gradients[idx], offsets[idx], delays), box
-        )
+        member, g, c = inset[s : s + step], gradients[s : s + step], offsets[s : s + step]
+        after = np.max(np.where(member, first, -np.inf), axis=1)
+        before = np.min(np.where(member, np.inf, last), axis=1)
+        ok = _at_centre(g, c, after, before, delays, box)
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            ok[rest] = _over_pieces(g[rest], c[rest], after[rest], before[rest], delays, box)
+        flags[s : s + step] = ok
     return flags
+
+
+def _at_centre(g, c, after, before, delays, box: Box) -> np.ndarray:
+    """_decide's test of some rows, given their (L0, U), at each region's
+    own time at the box centre, tau = c + g . (lo + hi) / 2, in O(d).
+
+    With u_i = min(hi_i, tau - d_i) - lo_i, the room of t_i above lo_i,
+    m(tau) = g . lo + g- . u and M(tau) = g . lo + g+ . u, where g+ and g-
+    are the positive and negative parts of g.  In a box big enough to hold
+    the regions this decides nearly all of them.
+    """
+    tau = c + np.einsum("ij,j->i", g, 0.5 * (box.lo + box.hi))
+    u = tau[:, None] - (box.lo + delays)
+    np.minimum(u, box.hi - box.lo, out=u)
+    up = np.einsum("ij,ij->i", np.maximum(g, 0.0), u)
+    x = tau - c - np.einsum("ij,j->i", g, box.lo)
+    return (after < tau) & (tau < before) & (np.einsum("ij,ij->i", g, u) - up < x) & (x < up)
+
+
+def _over_pieces(g, c, after, before, delays, box: Box) -> np.ndarray:
+    """_decide's test of some rows, given their (L0, U), over every piece of
+    tau.
+
+    With the kinks hi_k + d_k sorted, tau's d + 1 pieces lie between them.
+    On piece j the inputs of the first j kinks are capped at hi_i, and
+    every other t_i of I reaches up to tau - d_i, so m(tau) = a + b tau and
+    M(tau) = A + B tau are affine; one product of the rows' positive and
+    negative parts with the box's (2 (d + 1), d) table of slopes and
+    constants gives them all.  On each piece the test is then an
+    intersection of intervals: tau - c > m(tau) holds above
+    (c + a) / (1 - b), with 1 - b >= 1, and tau - c < M(tau) holds below or
+    above (c + A) / (1 - B) as 1 - B is positive or negative, or everywhere
+    or nowhere when it is zero.  Rows are taken CHUNK_ELEMS // (32 (d + 1))
+    at a time, since about eleven (rows, d + 1) arrays live at once.
+    """
+    dim = delays.size
+    kinks = box.hi + delays
+    order = np.argsort(kinks, kind="stable")
+    capped = np.empty(dim, dtype=np.intp)
+    capped[order] = np.arange(dim)
+    capped = capped < np.arange(dim + 1)[:, None]
+    table = np.concatenate([~capped, np.where(capped, box.hi, -delays)])
+    edges = np.concatenate([[-np.inf], kinks[order], [np.inf]])
+    out, step = np.empty(len(c), dtype=bool), max(1, CHUNK_ELEMS // (32 * (dim + 1)))
+    for s in range(0, len(c), step):
+        rows = slice(s, s + step)
+        gp, gn = np.maximum(g[rows], 0.0), np.minimum(g[rows], 0.0)
+        b, a = np.split(np.einsum("ij,kj->ik", gn, table), 2, axis=1)
+        B, A = np.split(np.einsum("ij,kj->ik", gp, table), 2, axis=1)
+        a += (c[rows] + np.einsum("ij,j->i", gp, box.lo))[:, None]
+        A += (c[rows] + np.einsum("ij,j->i", gn, box.lo))[:, None]
+        B = 1.0 - B
+        root = A / np.where(B == 0.0, 1.0, B)
+        low = np.maximum(np.maximum(edges[:-1], after[rows, None]), a / (1.0 - b))
+        high = np.minimum(edges[1:], before[rows, None])
+        np.maximum(low, root, out=low, where=B < 0.0)
+        np.minimum(high, root, out=high, where=B > 0.0)
+        out[rows] = np.any((low < high) & ((B != 0.0) | (A > 0.0)), axis=1)
+    return out
 
 
 def count_feasible(regions: Regions, box: Box) -> int:
     """Number of the regions, a table as enumerate_regions returns, that
     meet the interior of the box."""
-    if box.dim != regions.inset.shape[1]:
-        raise DimensionError("box dimension must match the number of inputs")
+    _check_box(box, regions.inset.shape[1])
     return int(np.count_nonzero(
         _decide(regions.inset, regions.gradients, regions.offsets, regions.delays, box)
     ))

@@ -232,6 +232,15 @@ def test_regions_output_is_pinned(capsys, tmp_path):
     assert out["regions"][4]["offset"] == 5.583333333333335
 
 
+def test_regions_refuses_a_domain_without_interior(capsys, tmp_path):
+    net = single_neuron_network([1.0, 0.5], [0.0, 0.3], 1.0)
+    path = tmp_path / "flat.json"
+    save_snn(path, TypedSNN(net, EncodingSpec(0.0, 2.0, Box([0.0, 0.0], [0.0, 1.0]))))
+    code, out = run_cli(capsys, "regions", "--network", str(path))
+    assert code == 1
+    assert out == {"error": "bad-input", "detail": "box must have positive extent on every axis"}
+
+
 def test_oracle_command(capsys, two_kink_file):
     code, out = run_cli(
         capsys, "oracle", "--network", two_kink_file, "--input", "0", "--dt", "1e-5"

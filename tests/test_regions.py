@@ -3,7 +3,6 @@
 import functools
 import hashlib
 import tracemalloc
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -24,8 +23,6 @@ from spikec.regions import (
     ZERO_NORMAL_TOL,
     Halfspace,
     Regions,
-    _row_witness,
-    _witness,
     halfspaces_feasible,
 )
 from spikec import regions, simplex
@@ -230,6 +227,31 @@ def halfspaces_feasible_reference(halfspaces, box):
     return feasible(np.array(rows), np.array(rhs), box.lo, box.hi)
 
 
+def max_slack_flags(systems, box):
+    """Whether each region's system meets the open box, without a margin:
+    the largest s with normal . t - bound >= s on every row and
+    lo + s <= t <= hi - s is positive.  On a region's system the weak rows
+    may take the slack too, since an input outside the subset can always
+    arrive a little later.  The systems' LPs share nothing, so scipy's HiGHS
+    solves them as one block-diagonal LP whose objective is the sum of the
+    slacks."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    block_diag = pytest.importorskip("scipy.sparse").block_diag
+    if not systems:
+        return []
+    eye = np.eye(box.dim)
+    blocks, rhs = [], []
+    for halfspaces in systems:
+        A = np.vstack([-np.array([h.normal for h in halfspaces]), -eye, eye])
+        blocks.append(np.column_stack([A, np.ones(len(A))]))
+        rhs.append(np.concatenate([[-h.bound for h in halfspaces], -box.lo, box.hi]))
+    objective = np.tile(np.append(np.zeros(box.dim), -1.0), len(systems))
+    res = linprog(objective, A_ub=block_diag(blocks, format="csr"), b_ub=np.concatenate(rhs),
+                  bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    return (res.x.reshape(len(systems), box.dim + 1)[:, -1] > 0).tolist()
+
+
 def test_array_form_matches_the_loop_references():
     rng = np.random.default_rng(61)
     zero_rows = {False: 0, True: 0}
@@ -238,12 +260,13 @@ def test_array_form_matches_the_loop_references():
         w = rng.normal(0.0, 1.0, d)
         w[rng.random(d) < 0.2] = 0.0
         delays = rng.uniform(0.0, 2.0, d) if i % 3 else np.zeros(d)
-        # A threshold far below the strict margin makes a singleton's
-        # zero-normal row infeasible.
+        # With a threshold of 1e-9 a singleton's zero-normal row has a slack
+        # of 1e-9 / w_k.
         theta = (1.0, 1e-9, 0.4)[i % 3]
         r = float(rng.uniform(0.5, 12.0))
         box = Box.cube(-r, r, d)
         descs = iter(enumerate_regions(w, delays, theta, box))
+        got_flags, systems, sizes = [], [], []
         for subset in _subsets(d):
             want = region_for_subset_reference(subset, w, delays, theta)
             if want is None:
@@ -257,11 +280,15 @@ def test_array_form_matches_the_loop_references():
                 assert np.array_equal(a.normal, b.normal)
                 assert np.array_equal(np.signbit(a.normal), np.signbit(b.normal))
                 assert a.bound == b.bound and a.strict is b.strict
-            flag = halfspaces_feasible_reference(hs, box)
-            assert got.feasible_in_box == flag
-            if len(subset) == 1:
-                zero_rows[flag] += 1
+            got_flags.append(got.feasible_in_box)
+            systems.append(hs)
+            sizes.append(len(subset))
         assert next(descs, None) is None
+        flags = max_slack_flags(systems, box)
+        assert got_flags == flags
+        for size, flag in zip(sizes, flags):
+            if size == 1:
+                zero_rows[flag] += 1
     assert min(zero_rows.values()) > 0
 
 
@@ -317,7 +344,7 @@ def loop_flag(halfspaces, box):
 @functools.lru_cache(maxsize=None)
 def _seeded_neurons():
     """40 seeded neurons (d <= 8, uneven boxes, thresholds from 1e-9 to 2)
-    with the per-system loop's flags in their box and in a wider one."""
+    with the max-slack flags in their box and in a wider one."""
     rng = np.random.default_rng(83)
     cases = []
     for i in range(40):
@@ -330,18 +357,19 @@ def _seeded_neurons():
         box = Box(lo, lo + rng.uniform(0.2, 8.0, d))
         wide = Box(box.lo - 10.0, box.hi + 10.0)
         descs = enumerate_regions(w, delays, theta, box)
-        flags = [loop_flag(r.halfspaces, box) for r in descs]
-        wide_flags = [loop_flag(r.halfspaces, wide) for r in descs]
+        flags = max_slack_flags([r.halfspaces for r in descs], box)
+        wide_flags = max_slack_flags([r.halfspaces for r in descs], wide)
         cases.append((w, delays, theta, box, wide, flags, wide_flags))
     return cases
 
 
 @pytest.mark.parametrize("budget", [None, 1, 999])
 def test_stacked_region_flags_match_the_per_system_loop(monkeypatch, budget):
-    # budget 1 decides one subset per simplex call; 999 cuts the stacks at
-    # odd places.
+    # budget 1 decides one subset per chunk; 999 cuts the chunks at odd
+    # places.  halfspaces_feasible keeps the strict margin of the
+    # per-system loop.
     if budget is not None:
-        monkeypatch.setattr(simplex, "CHUNK_ELEMS", budget)
+        monkeypatch.setattr(regions, "CHUNK_ELEMS", budget)
     both = {False: 0, True: 0}
     for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
         descs = enumerate_regions(w, delays, theta, box)
@@ -349,7 +377,9 @@ def test_stacked_region_flags_match_the_per_system_loop(monkeypatch, budget):
         assert count_feasible(descs, box) == sum(flags)
         assert count_feasible(descs, wide) == sum(wide_flags)
         if budget is None:
-            assert [halfspaces_feasible(r.halfspaces, box) for r in descs] == flags
+            assert [halfspaces_feasible(r.halfspaces, box) for r in descs] == [
+                loop_flag(r.halfspaces, box) for r in descs
+            ]
         for f in flags:
             both[f] += 1
     assert min(both.values()) > 100
@@ -383,8 +413,8 @@ def test_stabilized_counts_of_raw_gaussian_neurons_are_pinned():
 
 def test_enumeration_working_memory_does_not_grow_with_the_subsets():
     # Subsets are built and decided a chunk at a time: beyond the
-    # descriptors it returns, enumeration holds about two chunks of
-    # tableaux, whether there are 255 subsets or 4095.
+    # descriptors it returns, enumeration holds about one chunk of
+    # temporaries, whether there are 255 subsets or 4095.
     def transient(d):
         rng = np.random.default_rng(d)
         w, delays = rng.uniform(0.1, 1.0, d), rng.uniform(0.0, 1.0, d)
@@ -400,55 +430,6 @@ def test_enumeration_working_memory_does_not_grow_with_the_subsets():
     small, large = transient(8), transient(12)
     assert large <= 1.5 * small + 65536
     assert large <= 4 * simplex.CHUNK_ELEMS * 8
-
-
-def _stacked(descs):
-    """The descriptors' normals, bounds and strict flags, stacked."""
-    return (np.stack([getattr(r, f) for r in descs]) for f in ("normals", "bounds", "strict"))
-
-
-def test_the_closed_form_point_is_a_sound_witness():
-    # A system the point decides is feasible for the reference, and at the
-    # point the neuron fires on exactly the subset, at the region's value.
-    decided = 0
-    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
-        for b in (box, wide):
-            descs = enumerate_regions(w, delays, theta, b)
-            if not descs:
-                continue
-            points, ok = _witness(*_stacked(descs), b)
-            for r, t in compress(zip(descs, points), ok):
-                assert b.contains(t)
-                assert halfspaces_feasible_reference(r.halfspaces, b)
-                cert = resolve_firing_time(list(zip(t + delays, w)), theta)
-                assert cert.contributing == r.subset
-                want = r.offset + r.gradient @ t
-                assert abs(cert.firing_time.time - want) <= 1e-12 * max(1.0, abs(want))
-            decided += int(np.sum(ok))
-    assert decided > 100
-
-
-def test_both_the_point_and_the_simplex_decide_systems(monkeypatch):
-    # Every system is decided by its closed-form point or reaches the
-    # simplex, and on these neurons each path takes many of them.
-    cases = _seeded_neurons()
-    reached = []
-
-    def counting(A, b, lo, hi):
-        reached.append(len(A))
-        return feasible(A, b, lo, hi)
-
-    monkeypatch.setattr(regions, "feasible", counting)
-    by_point = systems = 0
-    for w, delays, theta, box, wide, flags, wide_flags in cases:
-        descs = enumerate_regions(w, delays, theta, box)
-        assert [r.feasible_in_box for r in descs] == flags
-        assert count_feasible(descs, wide) == sum(wide_flags)
-        if descs:
-            by_point += sum(int(np.sum(_witness(*_stacked(descs), b)[1])) for b in (box, wide))
-        systems += 2 * len(descs)
-    assert by_point > 100 and sum(reached) > 100
-    assert by_point + sum(reached) == systems
 
 
 def test_a_box_that_holds_every_region_needs_no_simplex(monkeypatch):
@@ -487,15 +468,16 @@ def test_arbitrary_halfspace_systems_match_the_reference():
 
 def test_region_tables_are_pinned():
     # Every region's subset, gradient bytes, offset and flag, in order, for
-    # the seeded neurons in their box and the widened box, as the
-    # per-descriptor enumeration gave them.
+    # the seeded neurons in their box and the widened box.  The subsets,
+    # gradients and offsets are the per-descriptor enumeration's; the flags
+    # are the max-slack LP's.
     h = hashlib.sha256()
     for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
         for b in (box, wide):
             for r in enumerate_regions(w, delays, theta, b):
                 h.update(repr((sorted(r.subset), r.offset, r.feasible_in_box)).encode())
                 h.update(r.gradient.tobytes())
-    assert h.hexdigest() == "8ab661ad00b1107682e765791ecb7e1a58971576f7abaf3735300beac76aeccc"
+    assert h.hexdigest() == "80b3e453752333b159f1f49a9732400e5ec1392398692b8a0a6014123a1c8ad0"
 
 
 def test_regions_is_a_sequence_of_row_views():
@@ -527,7 +509,7 @@ def test_regions_is_a_sequence_of_row_views():
 def test_count_feasible_of_a_table_sums_its_descriptors():
     for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
         table = enumerate_regions(w, delays, theta, box)
-        want = sum(halfspaces_feasible(r.halfspaces, wide) for r in table)
+        want = sum(max_slack_flags([r.halfspaces for r in table], wide))
         assert count_feasible(table, wide) == want == sum(wide_flags)
 
 
@@ -574,61 +556,102 @@ def test_non_finite_neurons_are_refused(weights, delays, theta):
         stabilized_region_count(weights, delays, theta)
 
 
-def test_the_row_point_decides_what_the_stacked_point_decides():
-    # The point checked from table rows in O(d) gives _witness's flags, also
-    # on rows whose normal is zero within the tolerance without being a
-    # singleton's (w_0 = 1 beside +-1e-13 has such rows), and on rows with
-    # g_k = 1 whose normal is not zero (w_0 = 1 beside +-0.5).
-    def both(table, box):
-        normals, bounds, strict = _stacked(table)
-        want = _witness(normals, bounds, strict, box)[1]
-        got = _row_witness(table.inset, table.gradients, table.offsets, table.delays, box)
-        assert np.array_equal(got, want)
-        return want, np.all(np.abs(normals) < ZERO_NORMAL_TOL, axis=2)
+def test_regions_are_decided_without_the_simplex_or_their_systems(monkeypatch):
+    # Small boxes as well as wide ones: every region is decided from its
+    # table row, by the test at the box centre or over the pieces of its
+    # firing time.
+    def refuse(*args):
+        raise AssertionError("a region reached the simplex or built its system")
 
-    seen = {False: 0, True: 0}
-    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
-        for b in (box, wide):
-            table = enumerate_regions(w, delays, theta, b)
-            if table:
-                for f in both(table, b)[0]:
-                    seen[bool(f)] += 1
-    assert min(seen.values()) > 100
-    wide_zero = 0
-    for w in ([1.0, 1e-13, -1e-13], [1.0, 0.5, -0.5]):
-        for theta in (1e-9, 1e-7, 0.1, 1.0):
-            for radius in (0.5, 1.0, 100.0):
-                box = Box.cube(-radius, radius, 3)
-                table = enumerate_regions(w, [0.2, 0.0, 0.5], theta, box)
-                zero = both(table, box)[1]
-                wide_zero += int(np.sum(zero.any(axis=1) & (table.inset.sum(axis=1) > 1)))
-    assert wide_zero > 0
-
-
-def test_a_region_the_point_decides_gets_no_system(monkeypatch):
-    built, reached = [], []
-
-    def counting_systems(inset, *rest):
-        built.append(len(inset))
-        return systems(inset, *rest)
-
-    def counting_feasible(A, b, lo, hi):
-        reached.append(len(A))
-        return feasible(A, b, lo, hi)
-
-    systems = regions._systems
-    monkeypatch.setattr(regions, "_systems", counting_systems)
-    monkeypatch.setattr(regions, "feasible", counting_feasible)
-    # The all-positive neuron in the box that holds every region.
-    rng = np.random.default_rng(97)
-    w = rng.uniform(0.05, 1.5, 10)
-    delays = rng.uniform(0.0, 1.0, 10)
-    radius = max(1.0, 4.0 / w.min())
-    center = float(np.mean(delays))
-    table = enumerate_regions(w, delays, 1.0, Box.cube(center - radius, center + radius, 10))
-    assert len(table) == 1023 and sum(built) == 0 == sum(reached)
-    # In a small box many regions reach the simplex, and only they get systems.
+    monkeypatch.setattr(regions, "feasible", refuse)
+    monkeypatch.setattr(regions, "_systems", refuse)
     for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
         table = enumerate_regions(w, delays, theta, box)
-        count_feasible(table, wide)
-    assert sum(built) == sum(reached) > 100
+        assert table.feasible.tolist() == flags
+        assert count_feasible(table, wide) == sum(wide_flags)
+        assert enumerate_regions(w, delays, theta, wide).feasible.tolist() == wide_flags
+
+
+def test_boxes_without_interior_are_refused():
+    # Such a box has no interior for a region to meet.
+    w, delays = [1.0, 0.5], [0.0, 0.3]
+    table = enumerate_regions(w, delays, 1.0, Box.cube(-1.0, 1.0, 2))
+    for box in (Box([0.0, 0.0], [0.0, 1.0]), Box([0.0, 0.0], [0.0, 0.0])):
+        with pytest.raises(InvalidParameterError, match="positive extent"):
+            enumerate_regions(w, delays, 1.0, box)
+        with pytest.raises(InvalidParameterError, match="positive extent"):
+            count_feasible(table, box)
+    # Nor can an unbounded box be decided.
+    with pytest.raises(InvalidParameterError, match="finite"):
+        enumerate_regions(w, delays, 1.0, Box([0.0, -np.inf], [1.0, 1.0]))
+
+
+#: Neuron 21 of the regions-d10 benchmark at seed 408.  Its smallest
+#: positive subset sum is 2.9e-6, so the box that holds every region has a
+#: radius of 1.4e6.
+SEED_408_WEIGHTS = [
+    0.9016590118408203, -1.1378583908081055, 0.2730417251586914, -2.223400115966797,
+    -2.0164756774902344, 0.7134504318237305, -1.0593147277832031, -1.174703598022461,
+    -1.6735572814941406, 7.397158622741699,
+]
+SEED_408_DELAYS = [
+    0.016401890132934693, 0.1616201951754207, 0.05562644143205586, 0.3983927355107484,
+    0.2707215910755054, 0.21566998771231138, 0.6911253254704623, 0.7696225976916299,
+    0.4062948255015446, 0.20989202798605755,
+]
+
+
+def test_a_huge_box_keeps_every_region():
+    # The box of the regions-d10 benchmark: radius 4 theta / (smallest
+    # positive subset sum) around the mean delay.  The weights sum to zero,
+    # so 511 of the 1023 subsets have a positive sum.
+    w, delays = np.array(SEED_408_WEIGHTS), np.array(SEED_408_DELAYS)
+    sums = np.array([w[list(s)].sum() for s in _subsets(10)])
+    radius, center = 4.0 / sums[sums > 0].min(), float(np.mean(delays))
+    assert radius > 1e6
+    table = enumerate_regions(w, delays, 1.0, Box.cube(center - radius, center + radius, 10))
+    assert len(table) == 511 and int(np.sum(table.feasible)) == 511
+
+
+def test_the_count_does_not_fall_as_the_box_grows():
+    # The fixed neuron's 81 regions all meet every cube of radius 2^k
+    # around its mean delay from k = 5 on.
+    table = enumerate_regions(UNDERCOUNT_WEIGHTS, UNDERCOUNT_DELAYS, 1.0, Box.cube(-1.0, 1.0, 10))
+    center = float(np.mean(UNDERCOUNT_DELAYS))
+    counts = [count_feasible(table, Box.cube(center - 2.0**k, center + 2.0**k, 10))
+              for k in range(5, 30)]
+    assert counts == [81] * 25
+
+
+def test_a_singleton_meets_the_box_by_its_closed_form():
+    # Singleton {k} fires theta / w_k after input k arrives, and meets the
+    # box exactly when lo_k + d_k + theta / w_k < min_{j != k} (hi_j + d_j),
+    # however small theta is.
+    seen = {False: 0, True: 0}
+    tiny = 0
+    for w, delays, theta, box, wide, flags, wide_flags in _seeded_neurons():
+        for b in (box, wide):
+            for r in enumerate_regions(w, delays, theta, b):
+                if len(r.subset) != 1:
+                    continue
+                (k,) = r.subset
+                others = np.delete(b.hi + delays, k)
+                want = bool(b.lo[k] + delays[k] + theta / w[k] < np.min(others, initial=np.inf))
+                assert r.feasible_in_box == want
+                seen[want] += 1
+                tiny += int(want and theta == 1e-9)
+    assert min(seen.values()) > 10 and tiny > 10
+
+
+def test_a_piece_on_which_the_slack_cannot_be_met_decides_nothing():
+    # w = (1, 1, -1): on the pieces of tau where input 1 is capped and
+    # input 0 is not, M(tau) - (tau - c) is the constant 1 - lo_2 + hi_1 < 0.
+    # Region {0, 1, 2} needs t_2 < t_1 + 1 < 2 for input 0 to arrive
+    # first, but input 2 arrives after 5: it is empty.  Region {0} fires at
+    # t_0 + 1 > 1 = hi_1 + d_1, so it touches the box only on its boundary,
+    # at t_0 = 0 and t_1 = 1: it is empty too.
+    box = Box([0.0, 0.0, 5.0], [10.0, 1.0, 6.0])
+    table = enumerate_regions([1.0, 1.0, -1.0], [0.0, 0.0, 0.0], 1.0, box)
+    by_subset = {r.subset: r.feasible_in_box for r in table}
+    assert by_subset[frozenset({0, 1, 2})] is False and by_subset[frozenset({0})] is False
+    assert table.feasible.tolist() == max_slack_flags([r.halfspaces for r in table], box)
