@@ -95,16 +95,26 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+#: The largest pool ``SPIKEC_THREADS`` may ask for.
+MAX_THREADS = 64
+
+
 def _thread_count() -> int:
+    """verify's pool size: ``SPIKEC_THREADS``, an integer from 1 to
+    MAX_THREADS, or else the number of CPUs the process may run on, at
+    most 4."""
     env = os.environ.get("SPIKEC_THREADS", "").strip()
     if not env:
         if hasattr(os, "sched_getaffinity"):
             return min(4, len(os.sched_getaffinity(0)))
         return min(4, os.cpu_count() or 1)
     try:
-        return max(1, int(env))
+        n = int(env)
     except ValueError:
         raise InvalidParameterError(f"SPIKEC_THREADS is not an integer: {env!r}") from None
+    if not 1 <= n <= MAX_THREADS:
+        raise InvalidParameterError(f"SPIKEC_THREADS must be from 1 to {MAX_THREADS}, got {n}")
+    return n
 
 
 #: About how many grid points ``verify`` checks together (see _chunks).

@@ -124,7 +124,8 @@ def _affine_layer_gadget(
 
     With aux_output set, an extra output neuron fed only by the auxiliary
     input fires at exactly the output reference time, re-exporting the
-    timing signal for a downstream gadget.
+    timing signal for a downstream gadget.  It is output 1, right after row
+    0, where a layer gadget's ReLU stage reads it.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_1d(np.asarray(B, dtype=float))
@@ -148,9 +149,9 @@ def _affine_layer_gadget(
     w = np.vstack([A.T, 1.0 - A.sum(axis=1)])
     th = thetas
     if aux_output:
-        w = np.hstack([w, np.zeros((d + 1, 1))])
-        w[d, m] = 1.0
-        th = np.concatenate([thetas, [t_out_ref - t_in_ref]])
+        w = np.insert(w, 1, 0.0, axis=1)
+        w[d, 1] = 1.0
+        th = np.insert(thetas, 1, t_out_ref - t_in_ref)
     net = SpikingNetwork(d, (_zero_delay_layer(w, th),), aux_input_times=(t_in_ref,))
     return TypedSNN(net, EncodingSpec(t_in_ref, t_out_ref, domain))
 
@@ -244,7 +245,7 @@ def build_layer_gadget(
     row (all sized with the shared weight and bias bounds, so they agree on
     reference times) side by side and merging their duplicated
     constant-firing neurons.  Layer 1 is the affine layer gadget with its
-    timing re-export moved to position 1.  Layers 2 and 3 are the ReLU
+    timing re-export at position 1.  Layers 2 and 3 are the ReLU
     gadget's 2x2 and 2x1 blocks over the payload positions [0, 2, ..., m],
     all sharing the one timing neuron at position 1 and a single constant
     hidden neuron; every ReLU threshold is bp + 1, with bp the stage's range
@@ -263,12 +264,10 @@ def build_layer_gadget(
     ca = float(np.max(np.abs(A), initial=0.0))
     sb = float(np.max(np.abs(B), initial=0.0))
     aff = _affine_layer_gadget(A, B, domain, t_in_ref, ca, sb, aux_output=True)
-    first = aff.net.layers[0]
-    perm = np.r_[0, m, 1:m]
     theta = _relu_stage_bound(d, ca, sb, domain.max_abs) + 1.0
     hidden, out = _relu_stage_weights(m, aux_output)
     layers = (
-        _zero_delay_layer(first.weights[:, perm], first.thresholds[perm]),
+        aff.net.layers[0],
         _zero_delay_layer(hidden, np.full(m + 1, theta)),
         _zero_delay_layer(out, np.full(out.shape[1], theta)),
     )

@@ -40,7 +40,7 @@ import numpy as np
 
 from .boxes import Box
 from .errors import DimensionError, InvalidParameterError
-from .simplex import CHUNK_ELEMS, feasible
+from .simplex import feasible
 from .snn_core import SpikingNetwork, network_forward_batch
 
 MAX_ENUM_DIM = 20
@@ -48,6 +48,9 @@ ZERO_NORMAL_TOL = 1e-12
 STRICT_EPS_SCALE = 1e-7
 CLUSTER_TOL = 1e-6
 MAX_DOUBLINGS = 40
+#: Regions are enumerated and decided in chunks whose temporaries hold about
+#: this many elements.
+CHUNK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)

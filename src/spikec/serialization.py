@@ -86,6 +86,9 @@ def snn_to_dict(t: TypedSNN) -> dict:
 
 def snn_from_dict(d: dict) -> TypedSNN:
     try:
+        # A JSON integer, not a float, bool or string that int() would take.
+        if type(d["input_dim"]) is not int:
+            raise TypeError(f"input_dim must be an integer, got {d['input_dim']!r}")
         layers = tuple(
             Layer(
                 np.asarray(l["W"], dtype=float),
@@ -95,7 +98,7 @@ def snn_from_dict(d: dict) -> TypedSNN:
             for l in d["layers"]
         )
         net = SpikingNetwork(
-            input_dim=int(d["input_dim"]),
+            input_dim=d["input_dim"],
             layers=layers,
             aux_input_times=tuple(float(a["time"]) for a in d.get("aux_inputs", [])),
         )

@@ -27,6 +27,7 @@ from spikec.ann_core import ann_forward
 from spikec.cli import main
 from spikec.compiler import build_example_3_1, build_example_3_1_ann, compile_ann
 from spikec.serialization import (
+    FileFormatError,
     dumps_canonical,
     load_ann,
     load_snn,
@@ -87,6 +88,20 @@ def test_malformed_file_exit_code(capsys, tmp_path):
     code, out = run_cli(capsys, "simulate", "--network", str(path), "--input", "0")
     assert code == 1
     assert out["error"] == "bad-input"
+
+
+@pytest.mark.parametrize("dim", [1.9, 1.0, True, "1", None])
+def test_input_dim_must_be_a_json_integer(capsys, tmp_path, two_kink_file, dim):
+    d = json.loads(Path(two_kink_file).read_text())
+    assert d["input_dim"] == 1
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(dict(d, input_dim=dim)))
+    with pytest.raises(FileFormatError, match="input_dim"):
+        load_snn(path)
+    code, out = run_cli(capsys, "simulate", "--network", str(path), "--input", "0")
+    assert code == 1
+    assert out["error"] == "bad-input"
+    assert "input_dim" in out["detail"]
 
 
 def test_compile_verify_round(capsys, tmp_path):
@@ -282,6 +297,32 @@ def test_non_integer_thread_count_is_bad_input(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SPIKEC_THREADS", "abc")
     code, out = run_cli(
         capsys, "verify", "--ann", str(ann_path), "--snn", str(snn_path), "--grid", "5"
+    )
+    assert code == 1
+    assert out["error"] == "bad-input"
+    assert "SPIKEC_THREADS" in out["detail"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "65", "100000"])
+def test_thread_count_out_of_range_is_bad_input(capsys, tmp_path, monkeypatch, threads):
+    # Refused before any pool exists: a pool of one OS thread per chunk
+    # is never started.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    ann_path = tmp_path / "ann.json"
+    snn_path = tmp_path / "snn.json"
+    save_ann(ann_path, build_example_3_1_ann(1.0))
+    assert main(["compile", "--ann", str(ann_path), "--domain=-3,3", "-o", str(snn_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SPIKEC_THREADS", str(cli.MAX_THREADS))
+    assert cli._thread_count() == cli.MAX_THREADS
+    monkeypatch.setenv("SPIKEC_THREADS", threads)
+    with pytest.raises(InvalidParameterError, match="SPIKEC_THREADS"):
+        cli._thread_count()
+    code, out = run_cli(
+        capsys, "verify", "--ann", str(ann_path), "--snn", str(snn_path), "--grid", "20"
     )
     assert code == 1
     assert out["error"] == "bad-input"

@@ -25,7 +25,7 @@ from spikec.regions import (
     Regions,
     halfspaces_feasible,
 )
-from spikec import regions, simplex
+from spikec import regions
 from spikec.simplex import feasible
 from test_simplex import feasible_reference
 
@@ -324,8 +324,9 @@ def test_every_positive_subset_is_a_region_over_all_of_r_d():
 
 
 def loop_flag(halfspaces, box):
-    """One system through the per-halfspace unpacking and the per-system
-    simplex loop, as regions were decided before systems were stacked."""
+    """One system through the per-halfspace unpacking, with the strict
+    margin of halfspaces_feasible, decided by the test module's reference
+    simplex loop."""
     eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
     rows, rhs = [], []
     for h in halfspaces:
@@ -414,7 +415,7 @@ def test_stabilized_counts_of_raw_gaussian_neurons_are_pinned():
 def test_enumeration_working_memory_does_not_grow_with_the_subsets():
     # Subsets are built and decided a chunk at a time: beyond the
     # descriptors it returns, enumeration holds about one chunk of
-    # temporaries, whether there are 255 subsets or 4095.
+    # temporaries, whether there are 4095 subsets (12 chunks) or 16383 (56).
     def transient(d):
         rng = np.random.default_rng(d)
         w, delays = rng.uniform(0.1, 1.0, d), rng.uniform(0.0, 1.0, d)
@@ -427,15 +428,15 @@ def test_enumeration_working_memory_does_not_grow_with_the_subsets():
         assert len(descs) == 2**d - 1
         return peak - retained
 
-    small, large = transient(8), transient(12)
-    assert large <= 1.5 * small + 65536
-    assert large <= 4 * simplex.CHUNK_ELEMS * 8
+    small, large = transient(12), transient(14)
+    assert large <= small + 16384
+    assert large <= 4 * regions.CHUNK_ELEMS * 8
 
 
 def test_a_box_that_holds_every_region_needs_no_simplex(monkeypatch):
     # An all-positive 10-input neuron in a box of radius 4 theta / (smallest
     # subset sum), as the regions-d10 benchmark sizes it: every one of its
-    # 1023 regions is decided by its closed-form point.
+    # 1023 regions meets the box, decided in the firing time alone.
     def refuse(*args):
         raise AssertionError("the simplex was called")
 
@@ -450,8 +451,8 @@ def test_a_box_that_holds_every_region_needs_no_simplex(monkeypatch):
 
 
 def test_arbitrary_halfspace_systems_match_the_reference():
-    # Random systems of one to four rows in two dimensions: the closed-form
-    # point is tried on those of two rows, the others go to the simplex alone.
+    # Random systems of one to four rows in two dimensions, each decided by
+    # one call of the simplex.
     rng = np.random.default_rng(101)
     box = Box.cube(-1.0, 1.0, 2)
     both = {False: 0, True: 0}

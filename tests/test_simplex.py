@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from spikec import simplex
 from spikec.errors import DimensionError
 from spikec.simplex import TOL, feasible
 
@@ -99,14 +98,14 @@ def test_agrees_with_scipy_at_region_scale():
 
 
 # ---------------------------------------------------------------------------
-# Stacked systems
+# Special cases against an independent phase-one loop
 # ---------------------------------------------------------------------------
 
 
 def feasible_reference(A, b, lo, hi):
-    """The per-system phase-one loop that decided one system per call
-    before systems were stacked: full artificial columns, reduced costs
-    recomputed from the basis every pivot."""
+    """An independent phase-one loop, as feasible decides one system: full
+    artificial columns, reduced costs recomputed from the basis every
+    pivot."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -159,9 +158,9 @@ def feasible_reference(A, b, lo, hi):
 
 
 def random_stack(rng, size, m, n):
-    """A stack of systems of one shape that mixes every special case: rows
-    that need no artificial, zero rows with either sign of right-hand side,
-    empty boxes and point boxes."""
+    """size systems of one shape, each with its own box, that mix every
+    special case: rows that need no artificial, zero rows with either sign
+    of right-hand side, empty boxes and point boxes."""
     A = rng.uniform(-2, 2, (size, m, n))
     b = rng.uniform(-1.5, 1.5, (size, m))
     lo = rng.uniform(-2, 0, (size, n))
@@ -180,56 +179,41 @@ def random_stack(rng, size, m, n):
     return A, b, lo, hi
 
 
-def _assert_stack_matches(A, b, lo, hi):
-    got = feasible(A, b, lo, hi)
-    assert got.dtype == bool and got.shape == (A.shape[0],)
-    one = [feasible(A[i], b[i], lo[i], hi[i]) for i in range(A.shape[0])]
-    ref = [feasible_reference(A[i], b[i], lo[i], hi[i]) for i in range(A.shape[0])]
-    assert all(type(x) is bool for x in one)
-    assert got.tolist() == one == ref
-    return got
-
-
-@pytest.mark.parametrize("budget", [None, 1, 1001])
-def test_stacked_call_matches_single_systems_and_reference(monkeypatch, budget):
-    # budget 1 solves one system at a time; 1001 splits stacks at odd
-    # counts that depend on the shape.
-    if budget is not None:
-        monkeypatch.setattr(simplex, "CHUNK_ELEMS", budget)
+def test_special_case_systems_match_the_reference():
     rng = np.random.default_rng(577)
     seen = np.zeros(2, dtype=int)
     for m, n in [(0, 1), (0, 3), (1, 1), (3, 2), (6, 4), (10, 10), (12, 6)]:
         A, b, lo, hi = random_stack(rng, 60, m, n)
-        got = _assert_stack_matches(A, b, lo, hi)
+        got = [feasible(A[i], b[i], lo[i], hi[i]) for i in range(len(A))]
+        assert all(type(x) is bool for x in got)
+        assert got == [feasible_reference(A[i], b[i], lo[i], hi[i]) for i in range(len(A))]
         seen += np.bincount(got, minlength=2)
     assert min(seen) > 40
 
 
-def test_stack_shares_one_box_or_takes_one_per_system():
+def test_one_system_per_call_with_matching_shapes():
     rng = np.random.default_rng(5)
-    A, b, lo, hi = random_stack(rng, 30, 5, 3)
-    shared = feasible(A, b, lo[0], hi[0])
-    per_system = feasible(A, b, np.tile(lo[0], (30, 1)), np.tile(hi[0], (30, 1)))
-    assert shared.tolist() == per_system.tolist()
-    assert feasible(A[:0], b[:0], lo[0], hi[0]).shape == (0,)
+    A, b, lo, hi = random_stack(rng, 1, 5, 3)
+    A, b, lo, hi = A[0], b[0], lo[0], hi[0]
+    assert type(feasible(A, b, lo, hi)) is bool
     with pytest.raises(DimensionError):
-        feasible(A, b[:-1], lo[0], hi[0])
+        feasible(A, b[:-1], lo, hi)
     with pytest.raises(DimensionError):
         feasible(A, b, lo[:-1], hi[:-1])
+    with pytest.raises(DimensionError):
+        feasible(A, b, lo, hi[:-1])
+    with pytest.raises(DimensionError):
+        feasible(A[None], b[None], lo, hi)
 
 
-def test_stacked_call_agrees_with_scipy_at_region_scale():
+def test_padded_systems_agree_with_scipy_at_region_scale():
     # The 200 systems of test_agrees_with_scipy_at_region_scale, padded to
-    # one shape and decided in one call: extra rows are 0 <= 0 and extra
-    # variables have zero coefficients.
+    # 20 rows and 10 variables and decided one call each: extra rows are
+    # 0 <= 0 and extra variables have zero coefficients.
     margin = 1e-3
     rng = np.random.default_rng(1618)
-    size, m_max, n_max = 200, 20, 10
-    A = np.zeros((size, m_max, n_max))
-    b = np.zeros((size, m_max))
-    lo, hi = np.zeros((size, n_max)), np.ones((size, n_max))
-    want = []
-    for i in range(size):
+    m_max, n_max = 20, 10
+    for i in range(200):
         n = int(rng.integers(8, 11))
         m = int(rng.integers(10, 21))
         lo_i = rng.uniform(-4, 0, n)
@@ -243,6 +227,7 @@ def test_stacked_call_agrees_with_scipy_at_region_scale():
             A_i[-1] = -y @ A_i[:-1]
             b_i[-1] = -y @ b_i[:-1] - margin
         assert scipy_feasible(A_i, b_i, lo_i, hi_i) == (not i % 2)
-        A[i, :m, :n], b[i, :m], lo[i, :n], hi[i, :n] = A_i, b_i, lo_i, hi_i
-        want.append(not i % 2)
-    assert feasible(A, b, lo, hi).tolist() == want
+        A, b = np.zeros((m_max, n_max)), np.zeros(m_max)
+        lo, hi = np.zeros(n_max), np.ones(n_max)
+        A[:m, :n], b[:m], lo[:n], hi[:n] = A_i, b_i, lo_i, hi_i
+        assert feasible(A, b, lo, hi) == (not i % 2)
