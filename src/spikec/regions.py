@@ -26,6 +26,11 @@ inequalities are not kept; _systems builds them as arrays only for a
 descriptor asked for them, and halfspaces_feasible decides an arbitrary
 system with the in-repo simplex.  A finite-difference gradient clustering
 over a grid provides an independent empirical count.
+
+The subsets' membership rows and member indices depend on d alone; the
+last dimension's are kept, read-only, for the calls that repeat it.
+stabilized_region_count grows nested cubes around one centre, and decides
+in each only the regions not found in a smaller one.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb
 
@@ -176,28 +182,43 @@ def halfspaces_feasible(halfspaces, box: Box) -> bool:
     return bool(feasible(A, b, box.lo, box.hi))
 
 
-def _fill_subsets(inset, starts) -> None:
-    """Write every nonempty subset of range(d) into the (2^d - 1, d) array as
-    a membership row, in order of size, then lexicographically; those of
-    size r start at row starts[r - 1].
+@lru_cache(maxsize=1)
+def _subset_plan(dim: int):
+    """Every nonempty subset of range(dim), as enumerate_regions reads them:
+    (inset, starts, members).
+
+    inset holds one membership row per subset, in order of size, then
+    lexicographically; the subsets of size r are rows starts[r - 1] to
+    starts[r], and members[r - 1] holds their (comb(dim, r), r) member
+    indices as uint8.  The arrays are read-only and take
+    (2^dim - 1) dim + dim 2^(dim - 1) bytes, within 2 (2^dim - 1) dim.  They
+    depend on dim alone, so every call at one dimension shares them; only
+    the last dimension's are kept.
 
     Read with input 0 as the high bit, lexicographic order within one size
     is descending order of the bit vectors.  The vectors are taken in
-    descending blocks of CHUNK_ELEMS // d, and each block's rows are placed
-    by their size.
+    descending blocks of CHUNK_ELEMS // dim, and each block's rows are
+    placed by their size.
     """
-    n, dim = inset.shape
+    starts = (0, *accumulate(comb(dim, r) for r in range(1, dim + 1)))
+    inset = np.empty((starts[-1], dim), dtype=bool)
+    members = [np.empty((comb(dim, r), r), dtype=np.uint8) for r in range(1, dim + 1)]
     bits = 1 << np.arange(dim - 1, -1, -1)
     # The row where the next subset of each size goes.
-    at = starts[:-1]
+    at = list(starts[:-1])
     step = max(1, CHUNK_ELEMS // dim)
-    for top in range(n, 0, -step):
+    for top in range(starts[-1], 0, -step):
         member = (np.arange(top, max(top - step, 0), -1)[:, None] & bits) != 0
         size = np.count_nonzero(member, axis=1)
         for r in range(1, dim + 1):
             rows = member[size == r]
+            j = at[r - 1] - starts[r - 1]
             inset[at[r - 1] : at[r - 1] + len(rows)] = rows
+            members[r - 1][j : j + len(rows)] = np.nonzero(rows)[1].reshape(-1, r)
             at[r - 1] += len(rows)
+    for a in (inset, *members):
+        a.flags.writeable = False
+    return inset, starts, tuple(members)
 
 
 def _neuron(weights, delays, theta: float):
@@ -228,25 +249,27 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
     """All candidate regions (nonempty subsets with positive weight sum).
 
     Subsets come in order of size, then lexicographically.  Their
-    membership rows are written first.  Then the rows are taken a chunk of
-    CHUNK_ELEMS // (8 d) at a time, as _decide takes them; the gathers of
-    one size hold about four (rows, size) arrays at once.  The candidates
-    among them move up in place, and their affine maps are written beside
-    them.  Weight sums and dot products reduce over each subset's own
-    entries, one size at a time, as the per-subset formulas do, so every
-    value is what they give.  Last, the candidates are decided in the box.
-    Beyond the table, working memory does not grow with the 2^d subsets.
+    membership rows and member indices depend on d alone, and are read from
+    the subset plan, which keeps them for the last dimension asked: a call
+    that repeats the dimension does only the work that depends on the
+    weights, and a call at a new d builds the plan first.  The rows are
+    taken a chunk of CHUNK_ELEMS // (8 d) at a time, as _decide takes them;
+    the gathers of one size hold about four (rows, size) arrays at once.
+    The candidates among them are copied into the table, and their affine
+    maps are written beside them.  Weight sums and dot products reduce over
+    each subset's own entries, one size at a time, as the per-subset
+    formulas do, so every value is what they give.  Last, the candidates
+    are decided in the box.  Beyond the table and the last dimension's
+    plan, working memory does not grow with the 2^d subsets.
     """
     w, d = _neuron(weights, delays, theta)
     if w.size > MAX_ENUM_DIM:
         raise InvalidParameterError(f"subset enumeration limited to d <= {MAX_ENUM_DIM}")
     _check_box(box, w.size)
-    dim, n = w.size, (1 << w.size) - 1
-    # Subsets of size r are rows starts[r - 1] to starts[r].
-    starts = [0, *accumulate(comb(dim, r) for r in range(1, dim + 1))]
-    inset = np.empty((n, dim), dtype=bool)
-    _fill_subsets(inset, starts)
-    gradients, offsets = np.zeros((n, dim)), np.empty(n)
+    dim = w.size
+    subsets, starts, members = _subset_plan(dim)
+    n = len(subsets)
+    inset, gradients, offsets = np.empty((n, dim), dtype=bool), np.zeros((n, dim)), np.empty(n)
     step, kept = max(1, CHUNK_ELEMS // (8 * dim)), 0
     for s in range(0, n, step):
         e = min(s + step, n)
@@ -254,14 +277,16 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
         for r in range(1, dim + 1):
             lo, hi = max(s, starts[r - 1]), min(e, starts[r])
             if lo < hi:
-                idx = np.nonzero(inset[lo:hi])[1].reshape(hi - lo, r)
-                W.append(w[idx].sum(axis=1))
-                dots.append(np.matmul(w[idx][:, None, :], d[idx][:, :, None])[:, 0, 0])
+                # Cast once: numpy gathers faster with intp indices than uint8.
+                idx = members[r - 1][lo - starts[r - 1] : hi - starts[r - 1]].astype(np.intp)
+                wi = w[idx]
+                W.append(wi.sum(axis=1))
+                dots.append(np.matmul(wi[:, None, :], d[idx][:, :, None])[:, 0, 0])
         W, dots = np.concatenate(W), np.concatenate(dots)
         keep = W > 0
         W = W[keep]
         rows = slice(kept, kept + len(W))
-        inset[rows] = inset[s:e][keep]
+        inset[rows] = subsets[s:e][keep]
         offsets[rows] = (theta + dots[keep]) / W
         np.divide(w, W[:, None], out=gradients[rows], where=inset[rows])
         kept += len(W)
@@ -369,15 +394,18 @@ def stabilized_region_count(weights, delays, theta: float) -> int:
     Starts from a unit box around the delays and doubles its radius, at most
     MAX_DOUBLINGS times, until the count is identical across two consecutive
     doublings, which operationalizes counting over a sufficiently large
-    domain.  The first box's count is read off the flags that
-    enumerate_regions computes for it.
+    domain.  The first box's regions are the flags that enumerate_regions
+    computes for it.  The boxes are nested cubes around one centre, and a
+    region that meets a cube meets every larger one, so each doubled box
+    decides only the regions not found in a smaller one.
     """
     w, d = _neuron(weights, delays, theta)
     center = float(np.mean(d)) if d.size else 0.0
     radius = max(1.0, float(np.max(np.abs(d - center), initial=0.0)))
     box = Box.cube(center - radius, center + radius, w.size)
-    regions = enumerate_regions(w, d, theta, box)
-    cnt = int(np.count_nonzero(regions.feasible))
+    table = enumerate_regions(w, d, theta, box)
+    found = table.feasible.copy()
+    cnt = int(np.count_nonzero(found))
     prev = prev2 = -1
     for _ in range(MAX_DOUBLINGS - 1):
         if cnt == prev == prev2:
@@ -385,7 +413,11 @@ def stabilized_region_count(weights, delays, theta: float) -> int:
         prev2, prev = prev, cnt
         radius *= 2.0
         box = Box.cube(center - radius, center + radius, w.size)
-        cnt = count_feasible(regions, box)
+        _check_box(box, w.size)
+        rest = np.flatnonzero(~found)
+        found[rest] = _decide(table.inset[rest], table.gradients[rest], table.offsets[rest], d,
+                              box)
+        cnt = int(np.count_nonzero(found))
     return cnt
 
 

@@ -26,7 +26,6 @@ from spikec.regions import (
     halfspaces_feasible,
 )
 from spikec import regions
-from spikec.simplex import feasible
 from test_simplex import feasible_reference
 
 
@@ -208,23 +207,6 @@ def region_for_subset_reference(subset, w, d, theta):
         else:
             hs.append(Halfspace(e - g, offset - d[k], strict=False))
     return g, offset, tuple(hs)
-
-
-def halfspaces_feasible_reference(halfspaces, box):
-    """The per-halfspace loop that unpacked a system before the array form."""
-    eps = STRICT_EPS_SCALE * max(box.diameter, 1.0)
-    rows, rhs = [], []
-    for h in halfspaces:
-        margin = eps if h.strict else 0.0
-        if np.max(np.abs(h.normal)) < ZERO_NORMAL_TOL:
-            if h.bound + margin > 0:
-                return False
-            continue
-        rows.append(-h.normal)
-        rhs.append(-(h.bound + margin))
-    if not rows:
-        return True
-    return feasible(np.array(rows), np.array(rhs), box.lo, box.hi)
 
 
 def max_slack_flags(systems, box):
@@ -412,6 +394,79 @@ def test_stabilized_counts_of_raw_gaussian_neurons_are_pinned():
     assert stabilized_region_count(UNDERCOUNT_WEIGHTS, UNDERCOUNT_DELAYS, 1.0) == 80
 
 
+def stabilized_count_reference(w, delays, theta):
+    """stabilized_region_count's box doubling as it was before it kept the
+    regions found: count_feasible decides every region in every doubled
+    cube.  Returns the count and the cubes visited."""
+    center = float(np.mean(delays))
+    radius = max(1.0, float(np.max(np.abs(delays - center))))
+    cubes = [Box.cube(center - radius, center + radius, w.size)]
+    table = enumerate_regions(w, delays, theta, cubes[0])
+    cnt = int(np.count_nonzero(table.feasible))
+    prev = prev2 = -1
+    for _ in range(regions.MAX_DOUBLINGS - 1):
+        if cnt == prev == prev2:
+            break
+        prev2, prev = prev, cnt
+        radius *= 2.0
+        cubes.append(Box.cube(center - radius, center + radius, w.size))
+        cnt = count_feasible(table, cubes[-1])
+    return cnt, cubes
+
+
+def test_regions_found_in_a_cube_stay_found_in_the_doubled_cube():
+    # Gaussian, dyadic, all-positive and zero-sum weights; zero or random
+    # delays; thresholds from 1e-4 to 2.  stabilized_region_count decides
+    # only the regions not yet found in each doubled cube, which holds when
+    # every region that meets a cube meets the cube of twice its radius.
+    rng = np.random.default_rng(109)
+    grew = 0
+    for i in range(1000):
+        d = 1 + i % 10
+        kind = i // 10 % 4
+        if kind == 0:
+            w = rng.normal(0.0, 1.0, d)
+        elif kind == 1:
+            w = rng.integers(-16, 17, d) / 8.0
+        elif kind == 2:
+            w = rng.uniform(0.01, 2.0, d)
+        else:
+            w = rng.normal(0.0, 1.0, d)
+            w[-1] = -w[:-1].sum()
+        delays = np.zeros(d) if i % 3 == 0 else rng.uniform(0.0, 2.0, d)
+        theta = float(10.0 ** rng.uniform(-4.0, np.log10(2.0)))
+        want, cubes = stabilized_count_reference(w, delays, theta)
+        assert stabilized_region_count(w, delays, theta) == want
+        flags = [enumerate_regions(w, delays, theta, c).feasible for c in cubes]
+        for small, large in zip(flags, flags[1:]):
+            assert not np.any(small & ~large)
+            grew += int(np.any(large & ~small))
+    assert grew > 100
+
+
+def test_the_subset_plan_is_built_once_per_dimension():
+    # The plan holds the membership rows and each size's member indices,
+    # read-only, within 2 (2^d - 1) d bytes.
+    d = 14
+    regions._subset_plan.cache_clear()
+    rng = np.random.default_rng(113)
+    for _ in range(2):
+        w, delays = rng.normal(0.0, 1.0, d), rng.uniform(0.0, 1.0, d)
+        enumerate_regions(w, delays, 1.0, Box.cube(-2.0, 2.0, d))
+    info = regions._subset_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    inset, starts, members = regions._subset_plan(d)
+    assert inset.shape == (2**d - 1, d) and len(members) == d
+    for r, idx in enumerate(members, start=1):
+        rows = inset[starts[r - 1] : starts[r]]
+        assert np.array_equal(idx, np.nonzero(rows)[1].reshape(len(rows), r))
+    for a in (inset, *members):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+    assert inset.nbytes + sum(a.nbytes for a in members) <= 2 * (2**d - 1) * d
+
+
 def test_enumeration_working_memory_does_not_grow_with_the_subsets():
     # Subsets are built and decided a chunk at a time: beyond the
     # descriptors it returns, enumeration holds about one chunk of
@@ -452,7 +507,7 @@ def test_a_box_that_holds_every_region_needs_no_simplex(monkeypatch):
 
 def test_arbitrary_halfspace_systems_match_the_reference():
     # Random systems of one to four rows in two dimensions, each decided by
-    # one call of the simplex.
+    # one call of the simplex and by loop_flag's reference simplex loop.
     rng = np.random.default_rng(101)
     box = Box.cube(-1.0, 1.0, 2)
     both = {False: 0, True: 0}
@@ -462,7 +517,7 @@ def test_arbitrary_halfspace_systems_match_the_reference():
             for _ in range(rows)
         ]
         flag = halfspaces_feasible(hs, box)
-        assert flag == halfspaces_feasible_reference(hs, box)
+        assert flag == loop_flag(hs, box)
         both[flag] += 1
     assert min(both.values()) > 5
 
