@@ -3,12 +3,27 @@
 Exit codes: 0 success; 1 malformed input file or argument; 2 an output
 neuron never fires; 3 input outside the declared domain; 4 differential
 verification failed.
+
+Run as a program (``python -m spikec.cli`` or the ``spikec`` script), the
+process enters through :func:`run`, which first fixes glibc malloc's mmap
+threshold at 32 MiB and its trim threshold at 64 MiB.  The batch kernel
+allocates temporaries of about 256 KB per chunk of rows; under glibc's
+dynamic thresholds they are mapped, or the heap trimmed and regrown, again
+for every chunk.  On the verify-narrow benchmark (three ``verify`` runs:
+width-4 networks of depth 4 and 5 on a 20^4 grid, width 8 and depth 8 on a
+3^8 grid) the fixed thresholds take a round from about 285k minor page
+faults to 24k and raise its points/s by 15-20%; each run's peak RSS rises
+by about 1 MB.  Only glibc is tuned, and only in a process started as the
+program: :func:`main` and ``import spikec`` leave the allocator of the
+process that calls them as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
+import platform
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -343,5 +358,37 @@ def main(argv=None) -> int:
         return EXIT_BAD_FILE
 
 
+# mallopt's parameter numbers, from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: glibc malloc settings made by run(), as (mallopt parameter, bytes).  Fixed
+#: values, not options.  32 MiB is the ceiling of glibc's own dynamic mmap
+#: threshold on 64-bit hosts: far above any kernel temporary, which then
+#: comes from the heap, while a bigger block is still mapped and returned at
+#: once.  The trim threshold is twice it, as glibc's dynamic rule sets it, so
+#: the freed top of the heap stays for the next chunk instead of being
+#: returned and faulted in again.
+MALLOC_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+def _tune_malloc() -> bool:
+    """Applies MALLOC_SETTINGS on Linux with glibc and nowhere else; returns
+    whether every setting took.  A setting glibc refuses leaves its default
+    in place, which costs speed, not correctness."""
+    if not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success and 0 on error; each setting is tried.
+    return all([mallopt(param, value) == 1 for param, value in MALLOC_SETTINGS])
+
+
+def run() -> int:
+    """The program entry: tunes the allocator once, then runs main()."""
+    _tune_malloc()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -647,3 +649,138 @@ def test_verify_memory_does_not_grow_with_the_grid(capsys, tmp_path, monkeypatch
     (code_small, small), (code_large, large) = peak(181), peak(362)
     assert code_small == code_large == 0
     assert large <= 1.5 * small + 65536
+
+
+# -- the program entry tunes the allocator; main() does not ---------------------
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Loaded by the child's `site` before anything else runs: records every
+# mallopt call the process makes, pretends to be glibc, and reports the calls
+# on stderr at exit.
+_MALLOPT_PROBE = """
+import atexit, ctypes, platform, sys, types
+
+calls = []
+
+
+class Mallopt:
+    argtypes = restype = None
+
+    def __call__(self, param, value):
+        calls.append([param, value])
+        return 1
+
+
+_cdll = ctypes.CDLL
+ctypes.CDLL = lambda name, *a, **k: (
+    types.SimpleNamespace(mallopt=Mallopt()) if name is None else _cdll(name, *a, **k)
+)
+platform.libc_ver = lambda *a, **k: ("glibc", "2.36")
+atexit.register(lambda: sys.stderr.write("mallopt calls: %r" % calls))
+"""
+
+
+def _child_env(*extra_paths):
+    # The allocator is left to the code under test: glibc's own settings
+    # from the environment would hide what it does.
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*extra_paths, _SRC, env.get("PYTHONPATH")]))
+    env["SPIKEC_THREADS"] = "1"
+    return env
+
+
+def _probed(tmp_path, *cmd):
+    """Runs python with `cmd` under the mallopt probe; returns the process
+    and the mallopt calls it made."""
+    (tmp_path / "sitecustomize.py").write_text(_MALLOPT_PROBE)
+    proc = subprocess.run([sys.executable, *cmd], env=_child_env(str(tmp_path)),
+                          capture_output=True, text=True, timeout=300)
+    calls = json.loads(proc.stderr.rpartition("mallopt calls: ")[2])
+    return proc, calls
+
+
+def test_main_works_with_the_allocator_hook_broken(capsys, tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("main() tuned the allocator")
+
+    monkeypatch.setattr(cli, "_tune_malloc", refuse)
+    ann_path, snn_path = _verify_files(tmp_path, "dyadic", _dyadic_ann())
+    code, out = run_cli(capsys, "verify", "--ann", ann_path, "--snn", snn_path, "--grid", "9")
+    assert code == 0
+    assert out["pass"] is True
+
+
+def test_the_spikec_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts["spikec"] == "spikec.cli:run"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the allocator is tuned on Linux only")
+def test_only_the_program_entry_calls_mallopt(tmp_path, two_kink_file):
+    proc, calls = _probed(
+        tmp_path, "-m", "spikec.cli", "simulate", "--network", two_kink_file, "--input", "0"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["output"][0] == pytest.approx(-0.5, abs=1e-12)
+    assert calls == [[-3, 32 << 20], [-1, 64 << 20]]
+
+    proc, calls = _probed(tmp_path, "-c", "import spikec, spikec.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert calls == []
+
+
+def test_the_program_entry_cuts_page_faults_not_output(tmp_path):
+    # A seeded compiled width-4, depth-4 network on a 20^4 grid, as one
+    # verify-narrow child checks it, one thread: the program entry and a bare
+    # main() must print the same bytes, and the entry, with glibc, must take
+    # at most half the minor page faults.
+    rng = np.random.default_rng(1)
+    ann = ReluNetwork(tuple(
+        (rng.normal(size=(rows, 4)), rng.normal(size=rows)) for rows in (4, 4, 4, 1)
+    ))
+    ann_path, snn_path = _verify_files(tmp_path, "w4d4", ann)
+    neuron = tmp_path / "neuron.json"
+    save_snn(neuron, TypedSNN(single_neuron_network([0.9, -0.4, 0.7, 0.3], [0.5, 0.0, 1.25, 0.1], 0.8),
+                              EncodingSpec(0.5, 3.0, Box.cube(-1.0, 1.0, 4))))
+    bare_main = "import sys; from spikec.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def child(entry, *args):
+        proc = subprocess.Popen([sys.executable, *entry, *args], env=_child_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        killer = threading.Timer(300, proc.kill)
+        killer.start()
+        try:
+            out = proc.stdout.read()
+            proc.stdout.close()
+            # wait4, not wait: it returns the child's own page faults.
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            killer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        return proc.returncode, out, usage.ru_minflt
+
+    runs = {}
+    for name, args in {
+        "verify": ("verify", "--ann", ann_path, "--snn", snn_path, "--grid", "20"),
+        "simulate": ("simulate", "--network", snn_path, "--input", "0.3,-0.7,0.1,0.9", "--trace"),
+        "regions": ("regions", "--network", str(neuron)),
+    }.items():
+        entry, bare = child(("-m", "spikec.cli"), *args), child(("-c", bare_main), *args)
+        assert entry[:2] == bare[:2], name
+        assert entry[0] == 0 and json.loads(entry[1]), name
+        runs[name] = entry[2], bare[2]
+    if platform.libc_ver()[0] == "glibc":
+        # glibc accepts every setting (in a child, so that this process's
+        # allocator is left alone).
+        took = subprocess.run(
+            [sys.executable, "-c", "from spikec.cli import _tune_malloc; print(_tune_malloc())"],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert took.stdout.strip() == "True", took.stderr
+        entry_faults, bare_faults = runs["verify"]
+        assert entry_faults <= bare_faults / 2, runs

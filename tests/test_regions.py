@@ -488,6 +488,28 @@ def test_enumeration_working_memory_does_not_grow_with_the_subsets():
     assert large <= 4 * regions.CHUNK_ELEMS * 8
 
 
+def test_building_the_subset_plan_takes_about_one_chunk_of_temporaries():
+    # The test above never sees the plan's build: it is cached, or built
+    # before the table the call keeps.  Built alone, beyond the plan itself
+    # it takes one block of subsets at a time, whatever the dimension.
+    def transient(d):
+        regions._subset_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            inset, starts, members = regions._subset_plan(d)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inset.shape == (2**d - 1, d) and starts[-1] == 2**d - 1
+        return peak - retained
+
+    try:
+        for d in (12, 14, 16):
+            assert transient(d) <= 4 * regions.CHUNK_ELEMS * 8, d
+    finally:
+        regions._subset_plan.cache_clear()
+
+
 def test_a_box_that_holds_every_region_needs_no_simplex(monkeypatch):
     # An all-positive 10-input neuron in a box of radius 4 theta / (smallest
     # subset sum), as the regions-d10 benchmark sizes it: every one of its
