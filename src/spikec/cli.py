@@ -65,13 +65,22 @@ def _parse_csv(text: str) -> np.ndarray:
     return values
 
 
-def cmd_simulate(args) -> int:
-    t = load_snn(args.network)
-    x = _parse_csv(args.input)
+def _input_times(t, text: str):
+    """``--input`` as the network's input spike times, or None, with the
+    domain violation reported, when it lies outside the network's domain."""
+    x = _parse_csv(text)
     if not t.enc.domain.contains(x):
         _emit({"error": "domain-violation", "input": x.tolist()})
+        return None
+    return tuple(finite(t.enc.t_in_ref + xi) for xi in x)
+
+
+def cmd_simulate(args) -> int:
+    t = load_snn(args.network)
+    inputs = _input_times(t, args.input)
+    if inputs is None:
         return EXIT_DOMAIN
-    trace = network_trace(t.net, tuple(finite(t.enc.t_in_ref + xi) for xi in x))
+    trace = network_trace(t.net, inputs)
     silent = [i for i, ft in enumerate(trace[-1]) if not ft.fires]
     if silent:
         _emit({"error": "no-fire", "neuron": silent[0]})
@@ -279,14 +288,10 @@ def cmd_regions(args) -> int:
 
 def cmd_oracle(args) -> int:
     t = load_snn(args.network)
-    x = _parse_csv(args.input)
-    if x.size != t.net.input_dim:
-        raise FileFormatError(
-            f"input length {x.size} does not match input_dim {t.net.input_dim}"
-        )
-    times = [finite(t.enc.t_in_ref + xi) for xi in x] + [
-        finite(a) for a in t.net.aux_input_times
-    ]
+    inputs = _input_times(t, args.input)
+    if inputs is None:
+        return EXIT_DOMAIN
+    times = inputs + tuple(finite(a) for a in t.net.aux_input_times)
     for layer in t.net.layers:
         times = [
             oracle_firing_time(

@@ -22,8 +22,8 @@ decides nearly all of them.  The others are searched over the d + 1 pieces
 of tau between the sorted kinks hi_k + d_k, on each of which the test is
 an intersection of intervals in closed form.  No LP and no margin is
 involved, which yields the exact region count inside a box.  The
-inequalities are not kept; _systems builds them as arrays only for a
-descriptor asked for them, and halfspaces_feasible decides an arbitrary
+inequalities are not kept; a descriptor's halfspaces rebuilds them from
+its table row when asked, and halfspaces_feasible decides an arbitrary
 system with the in-repo simplex.  A finite-difference gradient clustering
 over a grid provides an independent empirical count.
 
@@ -39,7 +39,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, combinations, repeat
 from math import comb
 
 import numpy as np
@@ -104,10 +104,9 @@ class Regions(Sequence):
 class RegionDescriptor:
     """One candidate linear region: a view of row ``index`` of a Regions table.
 
-    ``subset``, ``gradient`` and ``offset`` read the row.  Row k of the
-    region's system is ``normals[k] . t >= bounds[k]``, strict where
-    ``strict[k]``; these arrays, and ``halfspaces``, the same rows as
-    Halfspace objects, are rebuilt from the table row when asked.
+    ``subset``, ``gradient`` and ``offset`` read the row.  ``halfspaces``
+    rebuilds the region's inequalities from it when asked, one Halfspace
+    per input.
     """
 
     __slots__ = ("table", "index", "feasible_in_box")
@@ -129,36 +128,26 @@ class RegionDescriptor:
     def offset(self) -> float:
         return float(self.table.offsets[self.index])
 
-    def _system(self):
-        t, row = self.table, slice(self.index, self.index + 1)
-        return [a[0] for a in _systems(t.inset[row], t.gradients[row], t.offsets[row], t.delays)]
-
-    normals = property(lambda self: self._system()[0])
-    bounds = property(lambda self: self._system()[1])
-    strict = property(lambda self: self._system()[2])
-
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:
-        normals, bounds, strict = self._system()
-        return tuple(map(Halfspace, normals, bounds.tolist(), strict.tolist()))
+        t, i = self.table, self.index
+        return _systems(t.inset[i], t.gradients[i], t.offsets[i], t.delays)
 
 
-def _systems(inset, gradients, offsets, delays):
-    """The inequalities of a stack of regions, from their table rows:
-    (regions, d, d) normals and (regions, d) bounds and strict flags.
+def _systems(member, gradient, offset, delays) -> tuple[Halfspace, ...]:
+    """The inequalities of one region, from its table row.
 
     Input k of the subset arrives strictly before the firing time,
     (g - e_k) . t > d_k - offset, and every other input at or after it,
     (e_k - g) . t >= offset - d_k.  Built only for a descriptor asked for
     them.
     """
-    eye = np.eye(inset.shape[1])
-    g = gradients[:, None, :]
+    eye = np.eye(member.size)
     # I - g rather than -(g - I), so zero entries stay +0.0.
-    normals = np.subtract(eye, g)
-    np.subtract(g, eye, out=normals, where=inset[:, :, None])
-    bounds = np.where(inset, delays - offsets[:, None], offsets[:, None] - delays)
-    return normals, bounds, inset
+    normals = np.subtract(eye, gradient)
+    np.subtract(gradient, eye, out=normals, where=member[:, None])
+    bounds = np.where(member, delays - offset, offset - delays)
+    return tuple(map(Halfspace, normals, bounds.tolist(), member.tolist()))
 
 
 def halfspaces_feasible(halfspaces, box: Box) -> bool:
@@ -187,35 +176,26 @@ def _subset_plan(dim: int):
     """Every nonempty subset of range(dim), as enumerate_regions reads them:
     (inset, starts, members).
 
-    inset holds one membership row per subset, in order of size, then
-    lexicographically; the subsets of size r are rows starts[r - 1] to
-    starts[r], and members[r - 1] holds their (comb(dim, r), r) member
-    indices as uint8.  The arrays are read-only and take
+    inset holds one membership row per subset, in order of size, then in
+    the order of itertools.combinations; the subsets of size r are rows
+    starts[r - 1] to starts[r], and members[r - 1] holds their (comb(dim,
+    r), r) member indices as uint8.  The arrays are read-only and take
     (2^dim - 1) dim + dim 2^(dim - 1) bytes, within 2 (2^dim - 1) dim.  They
     depend on dim alone, so every call at one dimension shares them; only
-    the last dimension's are kept.
-
-    Read with input 0 as the high bit, lexicographic order within one size
-    is descending order of the bit vectors.  The vectors are taken in
-    descending blocks of CHUNK_ELEMS // dim, and each block's rows are
-    placed by their size.
+    the last dimension's are kept.  inset is filled one member column at a
+    time, so the build's temporaries are a few index vectors of one size.
     """
     starts = (0, *accumulate(comb(dim, r) for r in range(1, dim + 1)))
-    inset = np.empty((starts[-1], dim), dtype=bool)
-    members = [np.empty((comb(dim, r), r), dtype=np.uint8) for r in range(1, dim + 1)]
-    bits = 1 << np.arange(dim - 1, -1, -1)
-    # The row where the next subset of each size goes.
-    at = list(starts[:-1])
-    step = max(1, CHUNK_ELEMS // dim)
-    for top in range(starts[-1], 0, -step):
-        member = (np.arange(top, max(top - step, 0), -1)[:, None] & bits) != 0
-        size = np.count_nonzero(member, axis=1)
-        for r in range(1, dim + 1):
-            rows = member[size == r]
-            j = at[r - 1] - starts[r - 1]
-            inset[at[r - 1] : at[r - 1] + len(rows)] = rows
-            members[r - 1][j : j + len(rows)] = np.nonzero(rows)[1].reshape(-1, r)
-            at[r - 1] += len(rows)
+    inset = np.zeros((starts[-1], dim), dtype=bool)
+    members = []
+    for r in range(1, dim + 1):
+        n = comb(dim, r)
+        idx = np.fromiter(chain.from_iterable(combinations(range(dim), r)), dtype=np.uint8,
+                          count=n * r).reshape(n, r)
+        rows = np.arange(starts[r - 1], starts[r])
+        for col in idx.T:
+            inset[rows, col] = True
+        members.append(idx)
     for a in (inset, *members):
         a.flags.writeable = False
     return inset, starts, tuple(members)

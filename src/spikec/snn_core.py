@@ -206,18 +206,19 @@ def resolve_firing_time(
 
     Arrivals, weights and threshold are taken as Python floats: the IEEE
     results are those of numpy scalars, and a division that overflows gives
-    inf without a warning.
+    inf without a warning.  A NaN or infinite arrival, weight or threshold is
+    refused with InvalidParameterError.
     """
     threshold = float(threshold)
-    if not threshold > 0:
-        raise InvalidParameterError("threshold must be positive")
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise InvalidParameterError("threshold must be positive and finite")
     arrivals = [(float(a), float(w)) for a, w in arrivals]
     n = len(arrivals)
     if n == 0:
         return ContributionCertificate(frozenset(), NEVER)
-    for a, _w in arrivals:
-        if not math.isfinite(a):
-            raise InvalidParameterError("arrival times must be finite")
+    for a, w in arrivals:
+        if not (math.isfinite(a) and math.isfinite(w)):
+            raise InvalidParameterError("arrival times and weights must be finite")
     order = sorted(range(n), key=lambda i: arrivals[i][0])
     wsum = 0.0
     wasum = 0.0
@@ -292,16 +293,20 @@ def oracle_firing_time(
     slope is positive the final segment crosses the threshold no later than
     (threshold + sum w*a) / sum(w), and if it is not, any crossing must have
     happened before the latest arrival.  If no arrival prefix has a positive
-    weight sum the potential never rises and the result is Never.
+    weight sum the potential never rises and the result is Never.  A NaN or
+    infinite arrival, weight or threshold is refused with
+    InvalidParameterError.
     """
     if not dt > 0:
         raise InvalidParameterError("dt must be positive")
-    if not threshold > 0:
-        raise InvalidParameterError("threshold must be positive")
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise InvalidParameterError("threshold must be positive and finite")
     if len(arrivals) == 0:
         return NEVER
     arr = np.array([a for a, _ in arrivals], dtype=float)
     w = np.array([wi for _, wi in arrivals], dtype=float)
+    if not (np.isfinite(arr).all() and np.isfinite(w).all()):
+        raise InvalidParameterError("arrival times and weights must be finite")
     order = np.argsort(arr, kind="stable")
     slopes = np.cumsum(w[order])
     positive = slopes[slopes > 0]
@@ -483,7 +488,8 @@ def _first_crossing_of_two(a0, w0, a1, w1, theta):
 def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
     """Vectorized :func:`layer_forward` over a (batch, fan_in) time array.
 
-    Never is represented by NaN in both directions.  Follows exactly the
+    Never is represented by NaN in both directions; an input time of +-inf
+    is refused with InvalidParameterError.  Follows exactly the
     prefix-scan acceptance rule of :func:`resolve_firing_time`: output j
     sorts its arrivals ``times[:, src[j]] + d[j]`` and scans them with their
     weights, gathered in sorted order from one table.  Either
@@ -510,6 +516,11 @@ def layer_forward_batch(layer: Layer, times: np.ndarray) -> np.ndarray:
     """
     if times.ndim != 2 or times.shape[1] != layer.fan_in:
         raise DimensionError("batch times must have shape (batch, fan_in)")
+    # +-inf is no spike time (FiringTime refuses it).  fmin and fmax skip NaN
+    # and reduce without a temporary the size of the batch.
+    if times.size and np.isinf([np.fmin.reduce(times, axis=None),
+                                np.fmax.reduce(times, axis=None)]).any():
+        raise InvalidParameterError("input times must be finite, or NaN for Never")
     batch, fan_in, fan_out = times.shape[0], layer.fan_in, layer.fan_out
     out = np.full((batch, fan_out), np.nan)
     live = layer.weights != 0

@@ -67,10 +67,11 @@ def test_simulate_trace_lists_all_layers(capsys, two_kink_file):
     assert out["trace"][0] == [0.0, 0.0]
 
 
-def test_simulate_domain_violation_exit_code(capsys, two_kink_file):
-    code, out = run_cli(capsys, "simulate", "--network", two_kink_file, "--input", "9")
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_simulate_domain_violation_exit_code(capsys, two_kink_file, command):
+    code, out = run_cli(capsys, command, "--network", two_kink_file, "--input", "9")
     assert code == 3
-    assert out["error"] == "domain-violation"
+    assert out == {"error": "domain-violation", "input": [9.0]}
 
 
 def test_simulate_no_fire_exit_code(capsys, tmp_path):

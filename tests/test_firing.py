@@ -55,6 +55,20 @@ def test_nonpositive_threshold_rejected():
 def test_nonfinite_arrival_rejected():
     with pytest.raises(InvalidParameterError):
         resolve_firing_time([(np.inf, 1.0)], 1.0)
+    # Weights and thresholds too, and in the oracle: a NaN or infinite
+    # weight used to give Never in the solver and Finite(0.1) in the oracle,
+    # an arrival of +inf a bare ValueError in the oracle, and a threshold of
+    # +inf Never in the solver and an OverflowError in the oracle.
+    for bad in (np.nan, np.inf, -np.inf):
+        for arrivals in ([(0.0, 1.0), (bad, 1.0)], [(0.0, 1.0), (0.5, bad)]):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                resolve_firing_time(arrivals, 1.0)
+            with pytest.raises(InvalidParameterError, match="finite"):
+                oracle_firing_time(arrivals, 1.0, 1e-3)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        resolve_firing_time([(0.0, 1.0)], np.inf)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        oracle_firing_time([(0.0, 1.0)], np.inf, 1e-3)
 
 
 def test_boundary_arrival_is_excluded():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from spikec import (
     NEVER,
     Box,
+    InvalidParameterError,
     Layer,
     RealizationUndefinedError,
     ReluNetwork,
@@ -203,6 +204,24 @@ def test_network_forward_batch_calls_each_layer_through_the_module():
         realize_batch(snn.net, snn.enc, np.zeros((5, 3)))
     assert len(seen) == snn.net.depth
     assert all(a is b for a, b in zip(seen, snn.net.layers))
+
+
+def test_infinite_input_times_are_refused():
+    # FiringTime cannot hold +-inf, so the scalar path has no such input;
+    # the batch path used to read -inf as a time and +inf as Never.
+    layer = Layer(np.ones((3, 1)), np.zeros((3, 1)), np.ones(1))
+    net = SpikingNetwork(3, (layer,))
+    for bad in (np.inf, -np.inf):
+        times = np.array([[0.0, 0.0, 0.0], [0.0, bad, np.nan]])
+        for forward, arg in ((layer_forward_batch, layer), (snn_core.network_forward_batch, net)):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                forward(arg, times)
+    silent = Layer(np.zeros((3, 1)), np.zeros((3, 1)), np.ones(1))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        layer_forward_batch(silent, np.array([[np.nan, -np.inf, 0.0]]))
+    # NaN stays Never.
+    times = np.array([[0.0, np.nan, np.nan], [np.nan] * 3])
+    assert np.array_equal(layer_forward_batch(layer, times), [[1.0], [np.nan]], equal_nan=True)
 
 
 def test_kernel_handles_empty_batch_and_silent_layer():
