@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box
-from .errors import DimensionError
+from .errors import DimensionError, InvalidParameterError
 
-__all__ = ["Box", "ReluNetwork", "ann_forward", "layer_range_bound"]
+__all__ = ["ReluNetwork", "ann_forward", "layer_range_bound"]
 
 
 @dataclass(frozen=True)
 class ReluNetwork:
-    """Layer list of (weights, biases); weights have shape (out, in)."""
+    """Layer list of finite (weights, biases); weights have shape (out, in)."""
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -39,6 +39,8 @@ class ReluNetwork:
                 raise DimensionError(
                     f"layer {i} expects {a.shape[1]} inputs, got {prev_out}"
                 )
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise InvalidParameterError(f"layer {i}: weights and biases must be finite")
             prev_out = a.shape[0]
             norm.append((a, b))
         object.__setattr__(self, "layers", tuple(norm))

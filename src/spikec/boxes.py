@@ -15,7 +15,7 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 @dataclass(frozen=True)
 class Box:
-    """A closed axis-aligned box, one interval per input dimension."""
+    """A closed axis-aligned box, one finite interval per input dimension."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -27,6 +27,8 @@ class Box:
             raise DimensionError("box bounds must be 1-d arrays of equal length")
         if lo.size == 0:
             raise InvalidParameterError("box must have at least one dimension")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise InvalidParameterError("box bounds must be finite")
         if np.any(lo > hi):
             raise InvalidParameterError("box is empty: lo > hi in some dimension")
         object.__setattr__(self, "lo", lo)

@@ -215,12 +215,10 @@ def _neuron(weights, delays, theta: float):
 
 
 def _check_box(box: Box, dim: int) -> None:
-    """Refuse a box of another dimension, an unbounded one, or one without
-    interior."""
+    """Refuse a box of another dimension or one without interior; Box
+    itself refuses unbounded ones."""
     if box.dim != dim:
         raise DimensionError("box dimension must match the number of inputs")
-    if not (np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))):
-        raise InvalidParameterError("box bounds must be finite")
     if not np.all(box.hi > box.lo):
         raise InvalidParameterError("box must have positive extent on every axis")
 
@@ -232,15 +230,16 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
     membership rows and member indices depend on d alone, and are read from
     the subset plan, which keeps them for the last dimension asked: a call
     that repeats the dimension does only the work that depends on the
-    weights, and a call at a new d builds the plan first.  The rows are
-    taken a chunk of CHUNK_ELEMS // (8 d) at a time, as _decide takes them;
-    the gathers of one size hold about four (rows, size) arrays at once.
+    weights, and a call at a new d builds the plan first.  Each subset
+    size is one block of the plan's rows, taken CHUNK_ELEMS // (8 d) rows
+    at a time, as _decide takes them: one gather, one weight sum and one
+    batched dot product per slice, about four (rows, size) arrays at once.
     The candidates among them are copied into the table, and their affine
     maps are written beside them.  Weight sums and dot products reduce over
-    each subset's own entries, one size at a time, as the per-subset
-    formulas do, so every value is what they give.  Last, the candidates
-    are decided in the box.  Beyond the table and the last dimension's
-    plan, working memory does not grow with the 2^d subsets.
+    each subset's own entries, as the per-subset formulas do, so every
+    value is what they give.  Last, the candidates are decided in the box.
+    Beyond the table and the last dimension's plan, working memory does not
+    grow with the 2^d subsets.
     """
     w, d = _neuron(weights, delays, theta)
     if w.size > MAX_ENUM_DIM:
@@ -251,25 +250,20 @@ def enumerate_regions(weights, delays, theta: float, box: Box) -> Regions:
     n = len(subsets)
     inset, gradients, offsets = np.empty((n, dim), dtype=bool), np.zeros((n, dim)), np.empty(n)
     step, kept = max(1, CHUNK_ELEMS // (8 * dim)), 0
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        W, dots = [], []
-        for r in range(1, dim + 1):
-            lo, hi = max(s, starts[r - 1]), min(e, starts[r])
-            if lo < hi:
-                # Cast once: numpy gathers faster with intp indices than uint8.
-                idx = members[r - 1][lo - starts[r - 1] : hi - starts[r - 1]].astype(np.intp)
-                wi = w[idx]
-                W.append(wi.sum(axis=1))
-                dots.append(np.matmul(wi[:, None, :], d[idx][:, :, None])[:, 0, 0])
-        W, dots = np.concatenate(W), np.concatenate(dots)
-        keep = W > 0
-        W = W[keep]
-        rows = slice(kept, kept + len(W))
-        inset[rows] = subsets[s:e][keep]
-        offsets[rows] = (theta + dots[keep]) / W
-        np.divide(w, W[:, None], out=gradients[rows], where=inset[rows])
-        kept += len(W)
+    for first, block in zip(starts, members):
+        for s in range(0, len(block), step):
+            # Cast once: numpy gathers faster with intp indices than uint8.
+            idx = block[s : s + step].astype(np.intp)
+            wi = w[idx]
+            W = wi.sum(axis=1)
+            keep = W > 0
+            dots = np.matmul(wi[:, None, :], d[idx][:, :, None])[keep, 0, 0]
+            W = W[keep]
+            rows = slice(kept, kept + len(W))
+            inset[rows] = subsets[first + s : first + s + len(idx)][keep]
+            offsets[rows] = (theta + dots) / W
+            np.divide(w, W[:, None], out=gradients[rows], where=inset[rows])
+            kept += len(W)
     inset, gradients, offsets = inset[:kept], gradients[:kept], offsets[:kept]
     return Regions(inset, gradients, offsets, _decide(inset, gradients, offsets, d, box), d.copy())
 
@@ -393,7 +387,6 @@ def stabilized_region_count(weights, delays, theta: float) -> int:
         prev2, prev = prev, cnt
         radius *= 2.0
         box = Box.cube(center - radius, center + radius, w.size)
-        _check_box(box, w.size)
         rest = np.flatnonzero(~found)
         found[rest] = _decide(table.inset[rest], table.gradients[rest], table.offsets[rest], d,
                               box)
@@ -435,23 +428,17 @@ def empirical_region_count(
     if np.any(h <= 0):
         raise InvalidParameterError("box must have positive extent on every axis")
 
-    stencil = [pts]
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h[i]
-        stencil.extend([pts + e, pts - e])
-    allpts = np.vstack(stencil)
-    aux = np.broadcast_to(
-        np.asarray(net.aux_input_times), (allpts.shape[0], net.n_aux)
-    )
-    vals = network_forward_batch(net, np.hstack([allpts, aux]))[:, 0]
-    n = pts.shape[0]
-    f0 = vals[:n]
-    fplus = np.stack([vals[(2 * i + 1) * n : (2 * i + 2) * n] for i in range(dim)], axis=1)
-    fminus = np.stack([vals[(2 * i + 2) * n : (2 * i + 3) * n] for i in range(dim)], axis=1)
-
+    # The grid, then the grid stepped by +h_i e_i and by -h_i e_i for each
+    # axis i: row 0 of vals is f0, rows 1::2 are fplus and rows 2::2 fminus.
+    shifts = np.zeros((2 * dim + 1, dim))
+    shifts[1::2] = np.diag(h)
+    shifts[2::2] = -shifts[1::2]
+    allpts = (shifts[:, None, :] + pts).reshape(-1, dim)
+    aux = np.broadcast_to(np.asarray(net.aux_input_times), (allpts.shape[0], net.n_aux))
+    vals = network_forward_batch(net, np.hstack([allpts, aux]))[:, 0].reshape(2 * dim + 1, -1)
+    f0, fplus, fminus = vals[0], vals[1::2].T, vals[2::2].T
     no_fire = int(np.sum(np.isnan(f0)))
-    ok = ~np.isnan(f0) & ~np.isnan(fplus).any(axis=1) & ~np.isnan(fminus).any(axis=1)
+    ok = ~np.isnan(vals).any(axis=0)
     grad = (fplus - fminus) / (2.0 * h)
     # Keep points whose one-sided steps match the central gradient: that
     # holds exactly when the whole stencil lies in one affine piece.

@@ -121,8 +121,8 @@ class Layer:
 class SpikingNetwork:
     """A layered spiking network plus optional fixed-time auxiliary inputs.
 
-    Auxiliary inputs fire at a constant, input-independent time; they are
-    appended after the payload inputs when feeding the first layer.
+    Auxiliary inputs fire at a constant, input-independent, finite time;
+    they are appended after the payload inputs when feeding the first layer.
     """
 
     input_dim: int
@@ -134,6 +134,8 @@ class SpikingNetwork:
         aux = tuple(float(t) for t in self.aux_input_times)
         if not layers:
             raise DimensionError("a network needs at least one layer")
+        if not all(map(math.isfinite, aux)):
+            raise InvalidParameterError("auxiliary input times must be finite")
         fan_in = self.input_dim + len(aux)
         for i, layer in enumerate(layers):
             if layer.fan_in != fan_in:
@@ -167,7 +169,7 @@ class EncodingSpec:
     """Temporal-coding calling convention: reference times and input domain.
 
     A value x is encoded as a spike at time t_in_ref + x; an output spike at
-    time t decodes to t - t_out_ref.
+    time t decodes to t - t_out_ref.  Both reference times are finite.
     """
 
     t_in_ref: float
@@ -175,6 +177,8 @@ class EncodingSpec:
     domain: Box
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_in_ref) and math.isfinite(self.t_out_ref)):
+            raise InvalidParameterError("reference times must be finite")
         if not self.t_out_ref > self.t_in_ref:
             raise InvalidParameterError("t_out_ref must exceed t_in_ref")
 
@@ -439,11 +443,16 @@ def _accept(theta, wsum, wasum, last, nxt):
     latest arrival ``last``; ``nxt`` is the earliest arrival after it (+inf
     when none).  This is the rule of :func:`resolve_firing_time`: the
     candidate (theta + wasum) / wsum is accepted when the weight sum is
-    positive, the candidate is finite, strictly after ``last`` (a finite
-    arrival) and no later than ``nxt``.  Everything broadcasts elementwise.
+    positive, the candidate is finite, strictly after ``last`` and no later
+    than ``nxt``.  Everything broadcasts elementwise.  The scans sum +inf
+    arrivals unmasked: input times of +-inf are refused, so each +inf is a
+    Never input or padding, which the stable sort puts after every finite
+    arrival, and a prefix that reaches one has ``last`` = +inf, which
+    ``cand > last`` rejects.  A finite prefix can still give a +inf
+    candidate (theta over a tiny weight sum), hence the finite test.
     """
     cand = (theta + wasum) / wsum
-    ok = (wsum > 0) & np.isfinite(last) & np.isfinite(cand) & (cand > last) & (cand <= nxt)
+    ok = (wsum > 0) & np.isfinite(cand) & (cand > last) & (cand <= nxt)
     return cand, ok
 
 
@@ -456,7 +465,7 @@ def _first_crossing(arr_s: np.ndarray, w_s: np.ndarray, theta: np.ndarray) -> np
     the first accepted candidate of each scan, NaN where none is accepted.
     """
     wcum = np.cumsum(w_s, axis=-1)
-    scum = np.cumsum(w_s * np.where(np.isfinite(arr_s), arr_s, 0.0), axis=-1)
+    scum = np.cumsum(w_s * arr_s, axis=-1)
     nxt = np.empty_like(arr_s)
     nxt[..., :-1] = arr_s[..., 1:]
     nxt[..., -1] = np.inf
@@ -478,8 +487,8 @@ def _first_crossing_of_two(a0, w0, a1, w1, theta):
     swap = a1 < a0
     first, second = np.where(swap, a1, a0), np.where(swap, a0, a1)
     wf, ws = np.where(swap, w1, w0), np.where(swap, w0, w1)
-    s0 = wf * np.where(np.isfinite(first), first, 0.0)
-    s1 = s0 + ws * np.where(np.isfinite(second), second, 0.0)
+    s0 = wf * first
+    s1 = s0 + ws * second
     c0, ok0 = _accept(theta, wf, s0, first, second)
     c1, ok1 = _accept(theta, wf + ws, s1, second, np.inf)
     return np.where(ok0, c0, np.where(ok1, c1, np.nan))

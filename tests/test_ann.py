@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from spikec import Box, DimensionError, ReluNetwork, ann_forward, layer_range_bound
+from spikec import (
+    Box,
+    DimensionError,
+    InvalidParameterError,
+    ReluNetwork,
+    ann_forward,
+    layer_range_bound,
+)
 from spikec.compiler import build_example_3_1_ann
 
 
@@ -81,6 +88,17 @@ def test_batch_forward_dimension_check():
 def test_layer_shape_chaining_validated():
     with pytest.raises(DimensionError):
         ReluNetwork(((np.eye(2), np.zeros(2)), (np.ones((1, 3)), np.zeros(1))))
+
+
+@pytest.mark.parametrize("layer, part", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=["weights-0", "bias-0", "weights-1", "bias-1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_and_biases_are_refused(layer, part, value):
+    # A NaN weight used to load, and verify then reported a NaN max_err.
+    layers = [[np.eye(2), np.zeros(2)], [np.ones((1, 2)), np.zeros(1)]]
+    layers[layer][part][0] = value
+    with pytest.raises(InvalidParameterError, match=f"layer {layer}: .* must be finite"):
+        ReluNetwork(tuple(map(tuple, layers)))
 
 
 def test_range_bound_identity_example():

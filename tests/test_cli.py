@@ -49,7 +49,8 @@ def two_kink_file(tmp_path):
 def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    # The whole output must be valid JSON, with no bare NaN or Infinity token.
+    return code, json.loads(out, parse_constant=lambda c: pytest.fail(f"bare {c} in {out}"))
 
 
 def test_simulate_two_kink_at_zero(capsys, two_kink_file):
@@ -354,12 +355,64 @@ def test_compile_domain_needs_exactly_two_values(capsys, tmp_path):
 
 def test_simulate_non_finite_input_is_bad_input(capsys, two_kink_file):
     for text in ("nan,0.2", "inf", "0,-inf"):
-        code = main(["simulate", "--network", two_kink_file, "--input", text])
-        raw = capsys.readouterr().out
-        # The whole output must be valid JSON, with no bare NaN token.
-        out = json.loads(raw, parse_constant=lambda c: pytest.fail(f"bare {c} in {raw}"))
+        code, out = run_cli(capsys, "simulate", "--network", two_kink_file, "--input", text)
         assert code == 1
         assert out["error"] == "bad-input"
+
+
+def test_ann_file_with_non_finite_weight_is_bad_input(capsys, tmp_path):
+    # verify used to print "max_err": NaN and exit 4; compile refused the
+    # file only with the spiking Layer's message.
+    ann_path, bad_path = tmp_path / "ann.json", tmp_path / "bad.json"
+    snn_path = tmp_path / "snn.json"
+    save_ann(ann_path, build_example_3_1_ann(1.0))
+    assert main(["compile", "--ann", str(ann_path), "--domain=-3,3", "-o", str(snn_path)]) == 0
+    capsys.readouterr()
+    d = json.loads(ann_path.read_text())
+    for value in (float("nan"), float("inf")):
+        d["layers"][1]["W"][0][0] = value
+        bad_path.write_text(json.dumps(d))
+        with pytest.raises(FileFormatError, match="ReLU-network file: layer 1: .* finite"):
+            load_ann(bad_path)
+        for args in (("compile", "--ann", str(bad_path), "--domain=-3,3",
+                      "-o", str(tmp_path / "out.json")),
+                     ("verify", "--ann", str(bad_path), "--snn", str(snn_path), "--grid", "3")):
+            code, out = run_cli(capsys, *args)
+            assert code == 1
+            assert out["error"] == "bad-input"
+            assert "ReLU-network file" in out["detail"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("t_out_ref", float("inf"), "reference times must be finite"),
+    ("t_in_ref", float("-inf"), "reference times must be finite"),
+    ("aux", float("nan"), "auxiliary input times must be finite"),
+    ("domain", float("nan"), "box bounds must be finite"),
+], ids=["inf-t_out_ref", "minus-inf-t_in_ref", "nan-aux", "nan-domain"])
+def test_snn_file_with_non_finite_value_is_bad_input(capsys, tmp_path, two_kink_file,
+                                                     key, value, message):
+    # An infinite t_out_ref used to load and simulate to -Infinity; a NaN
+    # auxiliary time was refused by simulate, yet passed verify, whose batch
+    # kernel read it as Never.
+    d = json.loads(Path(two_kink_file).read_text())
+    if key == "aux":
+        d["aux_inputs"][0]["time"] = value
+    elif key == "domain":
+        d["domain"]["lo"][0] = value
+    else:
+        d[key] = value
+    path, ann_path = tmp_path / "snn.json", tmp_path / "identity.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(FileFormatError, match=message):
+        load_snn(path)
+    save_ann(ann_path, ReluNetwork(((np.ones((1, 1)), np.zeros(1)),)))
+    for args in (("simulate", "--network", str(path), "--input", "0.5"),
+                 ("verify", "--ann", str(ann_path), "--snn", str(path), "--grid", "3")):
+        code, out = run_cli(capsys, *args)
+        assert code == 1
+        assert out["error"] == "bad-input"
+        assert message in out["detail"]
 
 
 def test_verify_nan_or_negative_tol_is_bad_input(capsys, tmp_path):

@@ -179,6 +179,34 @@ def test_encoding_spec_orders_references():
         EncodingSpec(1.0, 1.0, Box([0.0], [1.0]))
 
 
+@pytest.mark.parametrize("t_in_ref, t_out_ref", [
+    (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan),
+], ids=["inf-out", "minus-inf-in", "nan-in", "nan-out"])
+def test_encoding_spec_refuses_non_finite_references(t_in_ref, t_out_ref):
+    # An infinite t_out_ref used to pass the ordering test and decode every
+    # output to -inf.
+    with pytest.raises(InvalidParameterError, match="finite"):
+        EncodingSpec(t_in_ref, t_out_ref, Box([0.0], [1.0]))
+
+
+@pytest.mark.parametrize("aux", [np.nan, np.inf, -np.inf])
+def test_network_refuses_non_finite_aux_times(aux):
+    # The batch kernel used to read a NaN auxiliary time as Never, where
+    # the scalar path refused it.
+    layer = Layer(np.ones((2, 1)), np.zeros((2, 1)), np.array([1.0]))
+    with pytest.raises(InvalidParameterError, match="auxiliary input times must be finite"):
+        SpikingNetwork(1, (layer,), aux_input_times=(aux,))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0, -np.inf], [1.0, 1.0]), ([0.0], [np.inf]),
+], ids=["nan-lo", "nan-hi", "minus-inf-lo", "inf-hi"])
+def test_box_refuses_non_finite_bounds(lo, hi):
+    # NaN passes the lo > hi test, so such a box used to be built.
+    with pytest.raises(InvalidParameterError, match="box bounds must be finite"):
+        Box(lo, hi)
+
+
 def test_batch_network_forward_matches_scalar():
     rng = np.random.default_rng(9)
     l1 = Layer(rng.uniform(-1, 1, (3, 3)), rng.uniform(0, 1, (3, 3)), rng.uniform(0.2, 2, 3))
