@@ -21,7 +21,9 @@ __all__ = ["ReluNetwork", "ann_forward", "layer_range_bound"]
 
 @dataclass(frozen=True)
 class ReluNetwork:
-    """Layer list of finite (weights, biases); weights have shape (out, in)."""
+    """Layer list of finite (weights, biases); weights have shape (out, in),
+    at least one row and column, and are stored C-contiguous so that each
+    row is summed in one order whatever the layout passed in."""
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -31,8 +33,10 @@ class ReluNetwork:
         norm = []
         prev_out = None
         for i, (a, b) in enumerate(self.layers):
-            a = np.atleast_2d(np.asarray(a, dtype=float))
+            a = np.atleast_2d(np.ascontiguousarray(a, dtype=float))
             b = np.atleast_1d(np.asarray(b, dtype=float))
+            if 0 in a.shape:
+                raise DimensionError(f"layer {i}: weights need at least one row and column")
             if b.shape != (a.shape[0],):
                 raise DimensionError(f"layer {i}: bias length must match rows of A")
             if prev_out is not None and a.shape[1] != prev_out:

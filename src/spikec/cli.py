@@ -1,6 +1,7 @@
 """Command-line interface: simulate, compile, verify, regions, oracle.
 
-Exit codes: 0 success; 1 malformed input file or argument; 2 an output
+Exit codes: 0 success; 1 malformed input file or argument, an output file
+that cannot be opened, or an ANN output that is not finite; 2 an output
 neuron never fires; 3 input outside the declared domain; 4 differential
 verification failed.
 
@@ -190,10 +191,11 @@ def cmd_verify(args) -> int:
     does not grow with ``--grid``.  The largest per-point error and its
     first grid point are kept as the chunks come back in grid order, and
     ``--dump-grid`` is written chunk by chunk; a run that stops early
-    leaves no dump.
+    leaves no dump.  An ANN output that is not finite at some grid point is
+    bad input, named by its first such point.
     """
-    if not args.tol >= 0:
-        raise InvalidParameterError(f"--tol must be a non-negative number, got {args.tol}")
+    if not 0 <= args.tol < np.inf:
+        raise InvalidParameterError(f"--tol must be finite and non-negative, got {args.tol}")
     n_threads = _thread_count()
     ann = load_ann(args.ann)
     snn = load_snn(args.snn)
@@ -207,6 +209,11 @@ def cmd_verify(args) -> int:
     def check(i: int):
         pts = box.grid(n, start(i), start(i + 1))
         want = ann_forward(ann, pts)
+        bad = ~np.isfinite(want).all(axis=1)
+        if bad.any():
+            raise InvalidParameterError(
+                f"the ANN output is not finite at grid point {pts[bad.argmax()].tolist()}"
+            )
         got = snn.realize_batch(pts)
         return pts, want, got, np.abs(got - want).max(axis=1)
 
@@ -224,10 +231,8 @@ def cmd_verify(args) -> int:
     try:
         for pts, want, got, per_point in _in_order(check, range(n_chunks), n_threads):
             i = int(np.argmax(per_point))
-            # np.argmax's rule across chunks: the first maximum wins, NaN beats all.
-            if max_err is None or per_point[i] > max_err or (
-                np.isnan(per_point[i]) and not np.isnan(max_err)
-            ):
+            # np.argmax's rule across chunks: the first maximum wins.
+            if max_err is None or per_point[i] > max_err:
                 max_err, argmax_point = float(per_point[i]), pts[i].tolist()
             if dump:
                 np.savetxt(dump, np.hstack([pts, want, got, per_point[:, None]]), delimiter=",")
@@ -358,7 +363,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SpikecError as e:
+    except (SpikecError, OSError) as e:
+        # An OSError's text names the file that could not be opened.
         _emit({"error": "bad-input", "detail": str(e)})
         return EXIT_BAD_FILE
 

@@ -6,8 +6,10 @@ temporal coding; a neuron gadget chains the two.  A layer gadget is what
 running one neuron gadget per output row side by side and merging their
 duplicated constant-firing auxiliary neurons gives, written down directly:
 an affine layer and two ReLU layers whose weights depend only on the width.
-The full compiler concatenates one layer gadget per ANN layer, with a bare
-affine gadget for the final (activation-free) layer.
+One builder makes every affine stage and sums each row in C order.  The
+full compiler builds a layer gadget per hidden ANN layer and a bare affine
+gadget for the final (activation-free) one, and chains their layers into
+one network in a single pass.
 
 Thresholds are sized from conservative symmetric range bounds so that inside
 the declared domain every gadget neuron is guaranteed to fire, and in the
@@ -90,9 +92,9 @@ def _zero_delay_layer(weights: np.ndarray, thresholds: np.ndarray) -> Layer:
     return Layer(weights, np.broadcast_to(0.0, weights.shape), thresholds)
 
 
-def _affine_layer_gadget(
-    A: np.ndarray,
-    B: np.ndarray,
+def build_affine_gadget(
+    C,
+    s,
     domain: Box,
     t_in_ref: float,
     ca: float | None = None,
@@ -100,14 +102,16 @@ def _affine_layer_gadget(
     aux_output: bool = False,
     margin: float | None = None,
 ) -> TypedSNN:
-    """One-layer gadget realizing x -> Ax + B on the domain.
+    """One-layer gadget realizing x -> C.x + s on the domain.
 
-    Inputs are the d payload neurons plus one auxiliary neuron firing at
-    t_in_ref.  Output row j has payload weights A[j] and auxiliary weight
-    1 - sum(A[j]), so the weights sum to one and the firing time is affine
-    with gradient A[j].  The threshold
+    C is a vector with a scalar s, or a matrix with one row per output and
+    a vector s.  Inputs are the d payload neurons plus one auxiliary neuron
+    firing at t_in_ref.  Output row j has payload weights C[j] and auxiliary
+    weight 1 - sum(C[j]), summed in C order so that its bits depend neither
+    on C's memory layout nor on the other rows.  The weights sum to one, so
+    the firing time is affine with gradient C[j].  The threshold
 
-        theta_j = (1 + d*ca) * M + B[j] + sb + margin,
+        theta_j = (1 + d*ca) * M + s[j] + sb + margin,
 
     with M the largest absolute domain coordinate, ca an upper bound on the
     absolute weights and sb on the absolute biases, is large enough that the
@@ -116,7 +120,7 @@ def _affine_layer_gadget(
     is what lets sibling gadgets be run in parallel.
 
     The worst-case gap between the firing time and the latest arrival is
-    min_j (B[j] + sb) + margin.  When the first term is zero (some bias
+    min_j (s[j] + sb) + margin.  When the first term is zero (some bias
     equals -sb) the gadget would fire exactly at an input arrival on a
     domain corner, where rounding could flip the neuron to never firing, so
     margin defaults to 1 in that case and 0 otherwise.  A caller sizing
@@ -127,9 +131,11 @@ def _affine_layer_gadget(
     timing signal for a downstream gadget.  It is output 1, right after row
     0, where a layer gadget's ReLU stage reads it.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_1d(np.asarray(B, dtype=float))
+    A = np.atleast_2d(np.ascontiguousarray(C, dtype=float))
+    B = np.atleast_1d(np.asarray(s, dtype=float))
     m, d = A.shape
+    if m == 0:
+        raise DimensionError("an affine gadget needs at least one output row")
     if B.shape != (m,):
         raise DimensionError("bias length must match matrix rows")
     if domain.dim != d:
@@ -154,23 +160,6 @@ def _affine_layer_gadget(
         th = np.insert(thetas, 1, t_out_ref - t_in_ref)
     net = SpikingNetwork(d, (_zero_delay_layer(w, th),), aux_input_times=(t_in_ref,))
     return TypedSNN(net, EncodingSpec(t_in_ref, t_out_ref, domain))
-
-
-def build_affine_gadget(
-    C,
-    s: float,
-    domain: Box,
-    t_in_ref: float,
-    ca: float | None = None,
-    sb: float | None = None,
-    aux_output: bool = False,
-    margin: float | None = None,
-) -> TypedSNN:
-    """Single-output affine gadget realizing x -> C.x + s; see the layer form."""
-    C = np.atleast_1d(np.asarray(C, dtype=float))
-    return _affine_layer_gadget(
-        C[None, :], np.array([float(s)]), domain, t_in_ref, ca, sb, aux_output, margin
-    )
 
 
 def _relu_stage_bound(d: int, ca: float, sb: float, M: float) -> float:
@@ -244,8 +233,8 @@ def build_layer_gadget(
     Written in closed form, it equals running one neuron gadget per output
     row (all sized with the shared weight and bias bounds, so they agree on
     reference times) side by side and merging their duplicated
-    constant-firing neurons.  Layer 1 is the affine layer gadget with its
-    timing re-export at position 1.  Layers 2 and 3 are the ReLU
+    constant-firing neurons.  Layer 1 is the affine gadget of (A, B) with
+    its timing re-export at position 1.  Layers 2 and 3 are the ReLU
     gadget's 2x2 and 2x1 blocks over the payload positions [0, 2, ..., m],
     all sharing the one timing neuron at position 1 and a single constant
     hidden neuron; every ReLU threshold is bp + 1, with bp the stage's range
@@ -254,16 +243,12 @@ def build_layer_gadget(
     With aux_output set, one extra output neuron re-exports the timing
     signal at the gadget's output reference time.
     """
-    # C order makes the affine stage sum each row on its own, as a
-    # single-row gadget does, so the weights agree to the last bit.
-    A = np.atleast_2d(np.ascontiguousarray(A, dtype=float))
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_1d(np.asarray(B, dtype=float))
-    m, d = A.shape
-    if m == 0:
-        raise DimensionError("a layer gadget needs at least one output row")
     ca = float(np.max(np.abs(A), initial=0.0))
     sb = float(np.max(np.abs(B), initial=0.0))
-    aff = _affine_layer_gadget(A, B, domain, t_in_ref, ca, sb, aux_output=True)
+    aff = build_affine_gadget(A, B, domain, t_in_ref, ca, sb, aux_output=True)
+    m, d = A.shape
     theta = _relu_stage_bound(d, ca, sb, domain.max_abs) + 1.0
     hidden, out = _relu_stage_weights(m, aux_output)
     layers = (
@@ -281,31 +266,31 @@ def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]
 
     Each hidden ANN layer becomes a depth-3 layer gadget carrying a timing
     re-export for the next stage; the final affine layer becomes a bare
-    one-layer affine gadget.  Stage domains are chained through the
-    conservative range bounds, lower-clipped at 0 after each ReLU.  The
-    report records actual versus predicted sizes; the prediction applies to
-    fixed-width single-output sources.
+    one-layer affine gadget.  Each stage starts at the reference time the
+    previous one ends at, so their layers chain as they are into one
+    network.  Stage domains are chained through the conservative range
+    bounds, lower-clipped at 0 after each ReLU.  The report records actual
+    versus predicted sizes; the prediction applies to fixed-width
+    single-output sources.
     """
     if domain.dim != ann.input_dim:
         raise DimensionError("domain dimension must match the network input")
     t = 0.0
-    cur_domain = domain
-    composed: TypedSNN | None = None
+    layers: list[Layer] = []
     refs: list[tuple[float, float]] = []
     domains: list[Box] = [domain]
-    for A, B in ann.layers[:-1]:
-        g = build_layer_gadget(A, B, cur_domain, t, aux_output=True)
-        composed = g if composed is None else concatenate(g, composed, check_range=False)
+    for i, (A, B) in enumerate(ann.layers, start=1):
+        if i == ann.depth:
+            g = build_affine_gadget(A, B, domains[-1], t)
+        else:
+            g = build_layer_gadget(A, B, domains[-1], t, aux_output=True)
+            hi = layer_range_bound(A, B, domains[-1]).hi
+            hi = hi if np.max(hi) > 0 else np.ones_like(hi)
+            domains.append(Box(np.zeros_like(hi), hi))
+        layers.extend(g.net.layers)
         refs.append((t, g.enc.t_out_ref))
         t = g.enc.t_out_ref
-        r = layer_range_bound(A, B, cur_domain)
-        hi = r.hi if np.max(r.hi) > 0 else np.ones_like(r.hi)
-        cur_domain = Box(np.zeros_like(hi), hi)
-        domains.append(cur_domain)
-    A, B = ann.layers[-1]
-    f = _affine_layer_gadget(A, B, cur_domain, t)
-    composed = f if composed is None else concatenate(f, composed, check_range=False)
-    refs.append((t, f.enc.t_out_ref))
+    net = SpikingNetwork(ann.input_dim, tuple(layers), aux_input_times=(0.0,))
 
     d = ann.fixed_width
     if d is not None:
@@ -315,14 +300,14 @@ def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]
     else:
         predicted_n = predicted_l = None
     report = CompileReport(
-        neuron_count=composed.net.num_neurons,
-        layer_count=composed.net.depth,
+        neuron_count=net.num_neurons,
+        layer_count=net.depth,
         predicted_neurons=predicted_n,
         predicted_layers=predicted_l,
         per_stage_refs=tuple(refs),
         per_layer_domains=tuple(domains),
     )
-    return composed, report
+    return TypedSNN(net, EncodingSpec(0.0, t, domain)), report
 
 
 def build_example_3_1(

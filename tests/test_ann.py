@@ -11,7 +11,8 @@ from spikec import (
     ann_forward,
     layer_range_bound,
 )
-from spikec.compiler import build_example_3_1_ann
+from spikec.compiler import build_example_3_1_ann, compile_ann
+from spikec.serialization import dumps_canonical, snn_to_dict
 
 
 def test_two_kink_ann_value_at_zero():
@@ -75,6 +76,36 @@ def test_rows_do_not_depend_on_the_batch():
         assert ann_forward(net, np.asfortranarray(xs)).tobytes() == whole.tobytes()
         for k in (0, 1, 77, 199):
             assert ann_forward(net, xs[k]).tobytes() == whole[k].tobytes()
+
+
+def test_a_fortran_ordered_network_gives_the_same_bits():
+    # einsum sums a Fortran-ordered weight row in another order, so the
+    # network stores its weights C-contiguous: the forward pass and the
+    # compiled file are the same for either layout.
+    rng = np.random.default_rng(40)
+    d = 40
+    net = ReluNetwork(
+        ((rng.normal(size=(d, d)), rng.normal(size=d)),
+         (rng.normal(size=(3, d)), rng.normal(size=3)))
+    )
+    fortran = ReluNetwork(tuple((np.asfortranarray(a), b) for a, b in net.layers))
+    for a, _ in fortran.layers:
+        assert a.flags.c_contiguous
+    xs = rng.uniform(-1, 1, (1000, d))
+    assert ann_forward(fortran, xs).tobytes() == ann_forward(net, xs).tobytes()
+    box = Box.cube(-1, 1, d)
+    files = [dumps_canonical(snn_to_dict(compile_ann(n, box)[0])) for n in (net, fortran)]
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("layers", [
+    ((np.zeros((3, 2)), np.zeros(3)), (np.zeros((0, 3)), np.zeros(0))),
+    ((np.zeros((0, 2)), np.zeros(0)),),
+    ((np.zeros((3, 0)), np.zeros(3)),),
+], ids=["no-output-row", "no-row", "no-column"])
+def test_a_layer_without_rows_or_columns_is_refused(layers):
+    with pytest.raises(DimensionError, match="at least one row and column"):
+        ReluNetwork(layers)
 
 
 def test_batch_forward_dimension_check():

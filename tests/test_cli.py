@@ -421,7 +421,7 @@ def test_verify_nan_or_negative_tol_is_bad_input(capsys, tmp_path):
     save_ann(ann_path, build_example_3_1_ann(1.0))
     assert main(["compile", "--ann", str(ann_path), "--domain=-3,3", "-o", str(snn_path)]) == 0
     capsys.readouterr()
-    for tol in ("nan", "-1e-9"):
+    for tol in ("nan", "-1e-9", "inf", "1e400"):
         code, out = run_cli(
             capsys, "verify", "--ann", str(ann_path), "--snn", str(snn_path),
             "--grid", "5", f"--tol={tol}",
@@ -429,6 +429,54 @@ def test_verify_nan_or_negative_tol_is_bad_input(capsys, tmp_path):
         assert code == 1
         assert out["error"] == "bad-input"
         assert "--tol" in out["detail"]
+
+
+@pytest.mark.parametrize("first, second, first_bad", [
+    # relu(1e300 x) * 1e300 + relu(-1e300 x) * 1e300 is inf off x = 0.
+    ([[1e300], [-1e300]], [[1e300, 1e300]], -3.0),
+    # relu(1e300 x) * 1e300 - relu(1e300 x) * 1e300 is inf - inf for x > 0.
+    ([[1e300], [1e300]], [[1e300, -1e300]], 0.75),
+], ids=["inf", "nan"])
+def test_verify_refuses_a_non_finite_ann_output(capsys, tmp_path, monkeypatch,
+                                                first, second, first_bad):
+    ann = ReluNetwork(((np.array(first), np.zeros(2)), (np.array(second), np.zeros(1))))
+    ann_path, snn_path = tmp_path / "ann.json", tmp_path / "snn.json"
+    csv_path = tmp_path / "grid.csv"
+    save_ann(ann_path, ann)
+    save_snn(snn_path, build_example_3_1(1.0, (-3.0, 3.0)))
+    # One thread checks the 9 points inline; two split them over the pool.
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPIKEC_THREADS", threads)
+        for dump in ((), ("--dump-grid", str(csv_path))):
+            code, out = run_cli(
+                capsys, "verify", "--ann", str(ann_path), "--snn", str(snn_path),
+                "--grid", "9", *dump,
+            )
+            assert code == 1
+            assert out["error"] == "bad-input"
+            assert f"not finite at grid point [{first_bad}]" in out["detail"]
+            assert not csv_path.exists()
+
+
+def test_output_paths_that_cannot_be_opened_are_bad_input(capsys, tmp_path):
+    ann_path = tmp_path / "ann.json"
+    snn_path = tmp_path / "snn.json"
+    missing = tmp_path / "missing"
+    save_ann(ann_path, build_example_3_1_ann(1.0))
+    compile_args = ("compile", "--ann", str(ann_path), "--domain=-3,3")
+    cases = [
+        (*compile_args, "-o", str(missing / "x.json")),
+        (*compile_args, "-o", str(snn_path), "--report", str(missing / "r.json")),
+        ("verify", "--ann", str(ann_path), "--snn", str(snn_path),
+         "--dump-grid", str(missing / "x.csv")),
+    ]
+    for args in cases:
+        code, out = run_cli(capsys, *args)
+        assert code == 1
+        assert out["error"] == "bad-input"
+        assert str(missing) in out["detail"]
+    # The network file was written before the report failed.
+    assert load_snn(snn_path).net.output_dim == 1
 
 
 def test_usage_errors_are_bad_input(capsys):

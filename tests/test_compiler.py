@@ -22,7 +22,7 @@ from spikec import (
     compile_ann,
     layer_certificates,
 )
-from spikec.calculus import TypedSNN, merge_neurons, parallelize
+from spikec.calculus import TypedSNN, concatenate, merge_neurons, parallelize
 from spikec.snn_core import Layer, SpikingNetwork, finite, network_trace
 
 
@@ -191,6 +191,77 @@ def test_layer_gadget_equals_the_algebra_reference(aux_output, t_in_ref):
 def test_layer_gadget_needs_an_output_row():
     with pytest.raises(DimensionError):
         build_layer_gadget(np.zeros((0, 2)), np.zeros(0), Box.cube(-1, 1, 2), 0.0)
+    with pytest.raises(DimensionError):
+        build_affine_gadget(np.zeros((0, 2)), np.zeros(0), Box.cube(-1, 1, 2), 0.0)
+
+
+def test_affine_gadget_rows_do_not_depend_on_layout_or_siblings():
+    # Each row of a matrix gadget has the bits of the one-row gadget of that
+    # row sized with the same bounds, whatever the matrix's memory layout.
+    rng = np.random.default_rng(29)
+    for m, d in ((1, 3), (4, 24), (7, 9)):
+        A = rng.normal(size=(m, d))
+        B = rng.normal(size=m)
+        domain = Box.cube(-1.0, 2.0, d)
+        ca, sb = float(np.max(np.abs(A))), float(np.max(np.abs(B)))
+        margin = 1.0 if float(np.min(B + sb)) <= 1e-9 * max(1.0, sb) else 0.0
+        want = build_affine_gadget(A, B, domain, 0.5)
+        got = build_affine_gadget(np.asfortranarray(A), B, domain, 0.5)
+        w, g = want.net.layers[0], got.net.layers[0]
+        assert same_bits(g.weights, w.weights) and same_bits(g.thresholds, w.thresholds)
+        for j in range(m):
+            row = build_affine_gadget(A[j], B[j], domain, 0.5, ca, sb, margin=margin)
+            assert same_bits(row.net.layers[0].weights[:, 0], w.weights[:, j])
+            assert row.enc.t_out_ref == want.enc.t_out_ref
+
+
+def compile_by_concatenation(ann, report):
+    """compile_ann by the composition algebra: every stage gadget built on its
+    own from the reference times and domains the report records, and the
+    stages folded with concatenate."""
+    starts = [t_in for t_in, _ in report.per_stage_refs]
+    stages = [
+        build_layer_gadget(A, B, domain, t, aux_output=True)
+        for (A, B), domain, t in zip(ann.layers[:-1], report.per_layer_domains, starts)
+    ]
+    A, B = ann.layers[-1]
+    stages.append(build_affine_gadget(A, B, report.per_layer_domains[-1], starts[-1]))
+    return reduce(lambda inner, outer: concatenate(outer, inner, check_range=False), stages)
+
+
+def composition_cases():
+    rng = np.random.default_rng(41)
+    for k in range(24):
+        d = int(rng.integers(1, 9))
+        widths = [d] + [int(rng.integers(1, 9)) for _ in range(k % 4)] + [1 + k % 3]
+        layers = []
+        for n_in, n_out in zip(widths, widths[1:]):
+            A = rng.normal(0.0, 1.0 / np.sqrt(n_in), (n_out, n_in))
+            B = rng.normal(0.0, 1.0, n_out)
+            if k % 5 == 0:
+                B[rng.integers(n_out)] = -np.max(np.abs(B))
+            layers.append((np.asfortranarray(A) if k % 6 == 1 else A, B))
+        yield ReluNetwork(tuple(layers)), Box(-rng.uniform(0.5, 2, d), rng.uniform(0.5, 2, d))
+
+
+def test_compile_equals_its_stages_concatenated():
+    depths = set()
+    for ann, domain in composition_cases():
+        got, report = compile_ann(ann, domain)
+        want = compile_by_concatenation(ann, report)
+        depths.add(ann.depth)
+        assert got.net.input_dim == want.net.input_dim
+        assert got.net.aux_input_times == want.net.aux_input_times
+        assert got.enc.t_in_ref == want.enc.t_in_ref
+        assert got.enc.t_out_ref == want.enc.t_out_ref
+        assert same_bits(got.enc.domain.lo, want.enc.domain.lo)
+        assert same_bits(got.enc.domain.hi, want.enc.domain.hi)
+        assert got.net.depth == want.net.depth == report.layer_count
+        for g, w in zip(got.net.layers, want.net.layers):
+            assert same_bits(g.weights, w.weights)
+            assert same_bits(g.delays, w.delays)
+            assert same_bits(g.thresholds, w.thresholds)
+    assert depths == {1, 2, 3, 4}
 
 
 def random_square_ann(rng, width, depth):
