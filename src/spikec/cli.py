@@ -43,7 +43,7 @@ from .serialization import (
     load_snn,
     save_snn,
 )
-from .snn_core import _neuron_arrivals, finite, network_trace, oracle_firing_time
+from .snn_core import _layer_tables, finite, network_trace, oracle_firing_time
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 1
@@ -296,15 +296,15 @@ def cmd_oracle(args) -> int:
     inputs = _input_times(t, args.input)
     if inputs is None:
         return EXIT_DOMAIN
-    times = inputs + tuple(finite(a) for a in t.net.aux_input_times)
+    times = [ft.time for ft in inputs] + list(t.net.aux_input_times)
     for layer in t.net.layers:
+        # The arrivals and weights the scalar path reads, in input order.
+        arrivals, weights, thresholds, _ = _layer_tables(layer, times)
         times = [
-            oracle_firing_time(
-                _neuron_arrivals(layer, times, j), layer.thresholds[j], args.dt
-            )
-            for j in range(layer.fan_out)
+            oracle_firing_time(list(zip(a, w)), theta, args.dt).time
+            for a, w, theta in zip(arrivals, weights, thresholds)
         ]
-    _emit({"firing_times": [ft.time for ft in times]})
+    _emit({"firing_times": times})
     return EXIT_OK
 
 

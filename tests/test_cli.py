@@ -269,6 +269,16 @@ def test_oracle_command(capsys, two_kink_file):
     assert out["firing_times"][0] == pytest.approx(0.5, abs=1e-4)
 
 
+def test_oracle_command_refuses_more_steps_than_its_bound(capsys, two_kink_file):
+    # 2e12 steps of dt to the horizon: refused as bad input before stepping.
+    code, out = run_cli(
+        capsys, "oracle", "--network", two_kink_file, "--input", "0", "--dt", "1e-12"
+    )
+    assert code == 1
+    assert out["error"] == "bad-input"
+    assert "ORACLE_MAX_STEPS" in out["detail"]
+
+
 def test_round_trip_is_byte_equal(tmp_path):
     t = build_example_3_1(1.0, (-3.0, 3.0))
     path = tmp_path / "net.json"
