@@ -43,7 +43,14 @@ from .serialization import (
     load_snn,
     save_snn,
 )
-from .snn_core import _layer_tables, finite, network_trace, oracle_firing_time
+from .snn_core import (
+    ORACLE_MAX_STEPS,
+    _layer_tables,
+    _oracle_steps,
+    finite,
+    network_trace,
+    oracle_firing_time,
+)
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 1
@@ -296,6 +303,18 @@ def cmd_oracle(args) -> int:
     inputs = _input_times(t, args.input)
     if inputs is None:
         return EXIT_DOMAIN
+    # Every neuron's steps to its horizon, counted at the scalar path's firing
+    # times, are bounded for the whole run before the first step.
+    steps = 0.0
+    for layer, spikes in zip(t.net.layers, network_trace(t.net, inputs)):
+        tables = _layer_tables(layer, [ft.time for ft in spikes])
+        for a, w, theta in zip(*tables[:3]):
+            steps += _oracle_steps(np.array(a), np.array(w), theta, args.dt)
+    if not steps <= ORACLE_MAX_STEPS - 1:
+        raise InvalidParameterError(
+            f"dense stepping of every neuron to its horizon needs {steps:.3g} steps "
+            f"of dt in all, more than ORACLE_MAX_STEPS = {ORACLE_MAX_STEPS}"
+        )
     times = [ft.time for ft in inputs] + list(t.net.aux_input_times)
     for layer in t.net.layers:
         # The arrivals and weights the scalar path reads, in input order.

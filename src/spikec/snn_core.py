@@ -26,9 +26,6 @@ from .errors import (
     RealizationUndefinedError,
 )
 
-#: Relative tolerance for the residual check on firing certificates.
-CERTIFICATE_RTOL = 1e-10
-
 #: Most time steps :func:`oracle_firing_time` takes to reach its horizon.
 #: A scan of this length took 2.2 s with one arrival, 6.8 s with five and
 #: 15 s with ten (one thread of a 2-vCPU x86-64 VM); the largest scan the
@@ -245,8 +242,7 @@ def _scan(
     """
     isfinite = math.isfinite
     last = len(order) - 1
-    wsum = 0.0
-    wasum = 0.0
+    wsum = wasum = 0  # integer starts keep Fraction inputs exact
     for k, i in enumerate(order):
         a = times[i]
         w = weights[i]
@@ -272,12 +268,18 @@ def _check_invariants(
 ) -> None:
     """Assert the certificate invariants of firing at t; raises CertificateError.
 
-    The arrivals ``order[:k]`` contribute and the rest of ``order`` do not.
-    The contributing sums run in the order of ``order[:k]``, the arrival
-    order in which the potential accumulates its ramps and :func:`_scan`
-    adds them up.
+    The arrivals ``order[:k]`` contribute, summed in that order as
+    :func:`_scan` sums them, and the rest of ``order`` do not.  The residual
+    r = sum w (t - a) - theta may carry only rounding (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3; u = eps / 2, gamma_n = n u /
+    (1 - n u), S = |theta| + sum |w| (|t| + |a|)).  The scan's sums, adding
+    theta and dividing leave the exact residual at t within gamma_(k+2) S,
+    and evaluating r adds as much: 2 gamma_(k+2) S < (2k + 3) eps S.  An
+    underflowing product or quotient is off by up to 2^-1075, and t's error
+    meets sum |w|: so |t| counts as at least 2^-1022 in S, and (2k + 3)
+    2^-1074 is added.  S is summed only if |r| > (2k + 3) eps |theta|.
     """
-    wsum = 0.0
+    wsum = 0
     residual = -threshold
     for i in order[:k]:
         a = times[i]
@@ -291,14 +293,11 @@ def _check_invariants(
             raise CertificateError("non-contributing arrival strictly before t")
     if not wsum > 0:
         raise CertificateError("contributing weights do not sum to a positive value")
-    tol = CERTIFICATE_RTOL * max(1.0, abs(threshold))
-    if abs(residual) > tol:
-        # Rounding t and the products moves the residual by up to (2n + 3)
-        # eps times the size of its terms; with weights near 1e300 that
-        # exceeds any fixed tolerance even when t is correctly rounded.
-        scale = sum(abs(weights[i]) * (abs(t) + abs(times[i])) for i in order[:k])
-        tol += (2 * k + 3) * sys.float_info.epsilon * scale
-        if abs(residual) > tol:
+    unit = (2 * k + 3) * sys.float_info.epsilon
+    if abs(residual) > unit * abs(threshold):
+        tmag = max(abs(t), sys.float_info.min)
+        scale = sum(abs(weights[i]) * (tmag + abs(times[i])) for i in order[:k])
+        if abs(residual) > unit * (abs(threshold) + scale) + (2 * k + 3) * math.ulp(0.0):
             raise CertificateError(f"threshold residual too large: {residual!r}")
 
 
@@ -324,6 +323,28 @@ def _validate_certificate(
     _check_invariants(times, weights, float(threshold), t, inside + outside, len(inside))
 
 
+def _oracle_steps(arr: np.ndarray, w: np.ndarray, threshold: float, dt: float) -> float:
+    """Steps of dt from the earliest arrival to the horizon of
+    :func:`oracle_firing_time`, 0 if no arrival prefix has a positive weight
+    sum (the potential never rises); a dt that is not positive and finite is
+    refused with InvalidParameterError.
+
+    Past the latest arrival the potential is affine with slope sum(w): if it
+    is positive, the crossing comes by (threshold + sum w*a) / sum(w), and
+    if not, before the latest arrival.  The horizon is the later of the two
+    times plus a 1.0 time-unit margin.
+    """
+    if not (dt > 0 and math.isfinite(dt)):
+        raise InvalidParameterError("dt must be positive and finite")
+    slopes = np.cumsum(w[np.argsort(arr, kind="stable")])
+    if not (slopes > 0).any():
+        return 0.0
+    horizon = float(arr.max())
+    if slopes[-1] > 0:
+        horizon = max(horizon, (threshold + float(np.dot(w, arr))) / float(slopes[-1]))
+    return (horizon + 1.0 - float(arr.min())) / dt
+
+
 def oracle_firing_time(
     arrivals: Sequence[tuple[float, float]], threshold: float, dt: float
 ) -> FiringTime:
@@ -331,47 +352,26 @@ def oracle_firing_time(
 
     Steps t from the earliest arrival in increments of dt, accumulating
     P(t) = sum over arrivals earlier than t of w * (t - arrival), and returns
-    the first step with P >= threshold.  The scan stops at a horizon beyond
-    which a crossing is impossible, with a 1.0 time-unit margin: past the
-    latest arrival the potential is affine with slope sum(w), so if that
-    slope is positive the final segment crosses the threshold no later than
-    (threshold + sum w*a) / sum(w), and if it is not, any crossing must have
-    happened before the latest arrival.  If no arrival prefix has a positive
-    weight sum the potential never rises and the result is Never.  A NaN or
-    infinite arrival, weight or threshold is refused with
-    InvalidParameterError, and so is a scan to the horizon of more than
-    ORACLE_MAX_STEPS steps, before any step is taken.
+    the first step with P >= threshold, or Never at the horizon of
+    :func:`_oracle_steps`.  A NaN or infinite arrival, weight or threshold,
+    and a bad dt, are refused with InvalidParameterError, and so is a scan
+    of more than ORACLE_MAX_STEPS steps, before any step is taken.
     """
-    if not dt > 0:
-        raise InvalidParameterError("dt must be positive")
     if not (threshold > 0 and math.isfinite(threshold)):
         raise InvalidParameterError("threshold must be positive and finite")
-    if len(arrivals) == 0:
-        return NEVER
     arr = np.array([a for a, _ in arrivals], dtype=float)
     w = np.array([wi for _, wi in arrivals], dtype=float)
     if not (np.isfinite(arr).all() and np.isfinite(w).all()):
         raise InvalidParameterError("arrival times and weights must be finite")
-    order = np.argsort(arr, kind="stable")
-    slopes = np.cumsum(w[order])
-    positive = slopes[slopes > 0]
-    if positive.size == 0:
+    span = _oracle_steps(arr, w, threshold, dt)
+    if span == 0:
         return NEVER
-    last = float(arr.max())
-    total = float(slopes[-1])
-    if total > 0:
-        final_cross = (threshold + float(np.dot(w, arr))) / total
-        horizon = max(last, final_cross) + 1.0
-    else:
-        horizon = last + 1.0
-
-    t0 = float(arr.min())
-    span = (horizon - t0) / dt
     if not span <= ORACLE_MAX_STEPS - 1:
         raise InvalidParameterError(
             f"dense stepping to the horizon needs {span:.3g} steps of dt, "
             f"more than ORACLE_MAX_STEPS = {ORACLE_MAX_STEPS}"
         )
+    t0 = float(arr.min())
     chunk = 1 << 16
     steps_total = int(math.ceil(span)) + 1
     start = 1

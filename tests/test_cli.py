@@ -37,6 +37,7 @@ from spikec.serialization import (
     save_snn,
     snn_to_dict,
 )
+from spikec.snn_core import ORACLE_MAX_STEPS
 
 
 @pytest.fixture
@@ -279,6 +280,35 @@ def test_oracle_command_refuses_more_steps_than_its_bound(capsys, two_kink_file)
     assert "ORACLE_MAX_STEPS" in out["detail"]
 
 
+def test_oracle_command_refuses_a_non_finite_dt(capsys, two_kink_file):
+    for dt in ("inf", "nan", "-inf"):
+        code, out = run_cli(
+            capsys, "oracle", "--network", two_kink_file, "--input", "0", f"--dt={dt}"
+        )
+        assert code == 1
+        assert out == {"error": "bad-input", "detail": "dt must be positive and finite"}
+
+
+def test_oracle_command_bounds_the_whole_run_before_stepping(capsys, tmp_path, monkeypatch):
+    # Three neurons, each 0.4 * ORACLE_MAX_STEPS steps from its horizon: each
+    # is under the per-neuron bound, the run is over the whole-run bound.
+    layer = Layer(np.ones((1, 3)), np.zeros((1, 3)), np.ones(3))
+    path = tmp_path / "three.json"
+    save_snn(path, TypedSNN(SpikingNetwork(1, (layer,)), EncodingSpec(0.0, 2.0, Box([0.0], [1.0]))))
+    dt = 2.0 / (0.4 * ORACLE_MAX_STEPS)
+
+    def stepped(*args):
+        raise AssertionError("oracle_firing_time ran before the whole run was bounded")
+
+    monkeypatch.setattr(cli, "oracle_firing_time", stepped)
+    code, out = run_cli(
+        capsys, "oracle", "--network", str(path), "--input", "0", "--dt", repr(dt)
+    )
+    assert code == 1
+    assert out["error"] == "bad-input"
+    assert "ORACLE_MAX_STEPS" in out["detail"]
+
+
 def test_round_trip_is_byte_equal(tmp_path):
     t = build_example_3_1(1.0, (-3.0, 3.0))
     path = tmp_path / "net.json"
@@ -350,6 +380,24 @@ def test_package_and_cli_import_without_scipy():
     code = "import sys; sys.modules['scipy'] = None; import spikec, spikec.cli"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_runtime_needs_numpy_only(two_kink_file):
+    # README promises "runtime: numpy only"; the test-only packages are
+    # made unimportable in a fresh interpreter that imports and simulates.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "for name in ('scipy', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "import spikec, spikec.cli\n"
+        f"sys.exit(spikec.cli.main(['simulate', '--network', {two_kink_file!r}, '--input', '0']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["output"][0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_compile_domain_needs_exactly_two_values(capsys, tmp_path):

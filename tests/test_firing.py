@@ -1,5 +1,7 @@
 """Tests for the exact firing-time solver and its dense-stepping oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,22 @@ from hypothesis import strategies as st
 
 from spikec import (
     NEVER,
+    Box,
+    CertificateError,
+    ContributionCertificate,
     InvalidParameterError,
     Layer,
+    ReluNetwork,
+    compile_ann,
     finite,
     layer_forward,
     layer_forward_batch,
+    network_trace,
     oracle_firing_time,
+    realize,
     resolve_firing_time,
 )
-from spikec.snn_core import _validate_certificate
+from spikec.snn_core import _scan, _validate_certificate
 
 
 def test_two_equal_arrivals_share_the_crossing():
@@ -85,6 +94,16 @@ def test_zero_weight_arrivals_are_inert():
     padded = [(0.0, 0.0), (0.3, 1.2), (0.9, 0.0), (1.1, 0.7), (2.0, -0.4)]
     got = resolve_firing_time(padded, 1.5)
     assert got.firing_time.time == pytest.approx(ref.firing_time.time, abs=0.0)
+
+
+def test_oracle_refuses_a_dt_that_is_not_positive_and_finite():
+    # With dt = inf the oracle used to step once past the horizon and give
+    # Never, where the solver fires at 1.5.
+    arrivals = [(0.0, 1.0), (0.5, -0.5)]
+    assert resolve_firing_time(arrivals, 1.0).firing_time.time == 1.5
+    for dt in (np.inf, np.nan, -np.inf, 0.0, -1e-3):
+        with pytest.raises(InvalidParameterError, match="dt must be positive and finite"):
+            oracle_firing_time(arrivals, 1.0, dt)
 
 
 def test_oracle_matches_worked_instance():
@@ -190,3 +209,95 @@ def test_batch_layer_forward_matches_scalar():
                 assert batch[r, j] == pytest.approx(scalar[j].time, abs=1e-12)
             else:
                 assert np.isnan(batch[r, j])
+
+
+def test_mixed_sign_weights_jump_across_a_facet_where_the_slope_rule_says():
+    # Region {0} fires at 1.0, and arrival 1 lands on that facet as a2
+    # crosses 1.  With w1 = -2, W_{0} + w1 = -1 <= 0: {0, 1} is no candidate,
+    # so below the facet the neuron waits for arrival 2 and the map jumps.
+    def fire(a2, w1):
+        return resolve_firing_time([(0.0, 1.0), (a2, w1), (5.0, 3.0)], 1.0)
+
+    below = fire(0.999999, -2.0)
+    assert below.contributing == {0, 1, 2}
+    assert below.firing_time.time == pytest.approx(7.000001, abs=1e-12)
+    for a2 in (1.0, 1.000001):
+        at = fire(a2, -2.0)
+        assert at.contributing == {0}
+        assert at.firing_time.time == 1.0
+    # With w1 = 0.5, W_{0} + w1 = 1.5 > 0 and the map is continuous there.
+    below = fire(0.999999, 0.5)
+    assert below.contributing == {0, 1}
+    assert below.firing_time.time == pytest.approx(1.0, abs=1e-6)
+    assert fire(1.0, 0.5).firing_time.time == 1.0
+
+
+def test_the_scan_keeps_fractions_exact():
+    F = Fraction
+    k, t = _scan([F(0), F(1, 3), F(5)], [F(1), F(-2), F(3)], F(1), [0, 1, 2])
+    assert (k, t) == (3, F(23, 3))
+    assert type(t) is Fraction
+
+
+def _random_relu(rng, width, depth, scale):
+    """The draw of bench/reference.py's random_relu: fixed-width,
+    single-output layers with N(0, scale^2) weights and biases."""
+    layers = []
+    for i in range(depth):
+        rows = 1 if i == depth - 1 else width
+        layers.append((rng.normal(0.0, scale, (rows, width)), rng.normal(0.0, scale, rows)))
+    return layers
+
+
+def test_certificate_refuses_a_time_off_by_a_small_fraction_of_a_large_threshold():
+    # The benchmark's width-8, depth-8 network compiles to thresholds up to
+    # 3.93e10.  Moving that neuron's firing time by 1e-11 theta (0.39 time
+    # units) moves the residual by as much, far beyond the rounding bound.
+    ann = ReluNetwork(tuple(_random_relu(np.random.default_rng(0), 8, 8, 1.0)))
+    typed, _ = compile_ann(ann, Box.cube(-1.0, 1.0, 8))
+    net, enc = typed.net, typed.enc
+    largest = [float(layer.thresholds.max()) for layer in net.layers]
+    li = int(np.argmax(largest))
+    layer = net.layers[li]
+    assert (li, int(layer.thresholds.argmax())) == (21, 0)
+    theta = float(layer.thresholds[0])
+    assert theta == pytest.approx(3.93e10, rel=1e-3)
+
+    rng = np.random.default_rng(1)
+    xs = rng.uniform(-1.0, 1.0, (30, 8))
+    for x in xs:
+        realize(net, enc, x)
+    trace = network_trace(net, tuple(finite(enc.t_in_ref + v) for v in xs[0]))
+    arrivals = [
+        (ft.time + layer.delays[i, 0], layer.weights[i, 0])
+        for i, ft in enumerate(trace[li])
+        if ft.fires
+    ]
+    cert = resolve_firing_time(arrivals, theta)
+    assert cert.firing_time == trace[li + 1][0]
+    _validate_certificate(cert, arrivals, theta)
+    moved = ContributionCertificate(
+        cert.contributing, finite(cert.firing_time.time + 1e-11 * theta)
+    )
+    with pytest.raises(CertificateError, match="residual"):
+        _validate_certificate(moved, arrivals, theta)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-315, 1e-320])
+def test_subnormal_neurons_are_certified(scale):
+    # Weights and threshold scaled into the subnormal range, so products
+    # underflow; then arrivals and threshold, with weights near 1e10, so the
+    # firing time itself is subnormal and its rounding is met 1e10 times.
+    # Each accepted time passes the certificate check.
+    rng = np.random.default_rng(int(-np.log10(scale)))
+    fired = 0
+    for _ in range(2000):
+        k = int(rng.integers(1, 7))
+        a, w = rng.uniform(-2.0, 2.0, k), rng.uniform(-2.0, 2.0, k)
+        theta = float(rng.uniform(0.05, 2.5))
+        for arrivals, th in (
+            (list(zip(a, w * scale)), theta * scale),
+            (list(zip(a * scale, w * 1e10)), theta * scale),
+        ):
+            fired += resolve_firing_time(arrivals, th).firing_time.fires
+    assert fired > 1000
