@@ -2,9 +2,9 @@
 
 These networks are the source language of the spiking compiler.  Evaluation
 alternates affine maps with componentwise max(0, .); the final layer stays
-affine.  The range bound mirrors the compiler's threshold sizing: it is a
-deliberately loose symmetric interval rather than tight interval arithmetic,
-so that the compiled network's complexity accounting stays reproducible.
+affine.  The range bound is a deliberately loose symmetric interval per
+row; the compiler chains its stage domains through it, but sizes thresholds
+from whole-layer maxima, by the rule ``compiler._size_stage`` states.
 """
 
 from __future__ import annotations

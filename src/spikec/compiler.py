@@ -2,23 +2,21 @@
 
 The construction is gadget-based.  An affine map and a scalar ReLU each have
 a small hand-parameterized spiking network realizing them exactly under
-temporal coding; a neuron gadget chains the two.  A layer gadget is what
-running one neuron gadget per output row side by side and merging their
-duplicated constant-firing auxiliary neurons gives, written down directly:
-an affine layer and two ReLU layers whose weights depend only on the width.
-One builder makes every affine stage and sums each row in C order.  The
-full compiler builds a layer gadget per hidden ANN layer and a bare affine
-gadget for the final (activation-free) one, and chains their layers into
-one network in a single pass.
+temporal coding; a neuron gadget chains the two.  A layer gadget is one
+neuron gadget per output row run side by side with their duplicated
+constant-firing neurons merged, written down directly: an affine layer and
+two ReLU layers whose weights depend only on the width.  The full compiler
+builds a layer gadget per hidden ANN layer and a bare affine gadget for the
+final (activation-free) one, and chains their layers into one network in a
+single pass.
 
-Thresholds are sized from conservative symmetric range bounds so that inside
-the declared domain every gadget neuron is guaranteed to fire, and in the
-affine gadget every input spike arrives before the output fires.  That makes
-the firing times affine in the inputs and the emulation exact, not
-approximate.
+``_size_stage`` sizes every stage from conservative symmetric range bounds,
+so that inside the declared domain every gadget neuron fires, and every
+affine-stage neuron only after all of its inputs.  That makes the firing
+times affine in the inputs and the emulation exact, not approximate.
 
 All gadget delays are zero: delays only shift reference times and zero keeps
-the time bookkeeping minimal.  Compiled layers hold read-only weights and one
+the time bookkeeping minimal.  Gadget layers hold read-only weights and one
 zero-stride view for their delays, so the ReLU weight pair of a given width
 is shared by every stage and every compile while some network still holds
 it, and freed with the last one.
@@ -27,6 +25,7 @@ it, and freed with the last one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 import numpy as np
@@ -74,12 +73,9 @@ def build_relu_gadget(domain: tuple[float, float], t_in_ref: float) -> TypedSNN:
     if not a < 0 < b:
         raise InvalidParameterError("ReLU gadget domain must satisfy a < 0 < b")
     theta = b + 1.0
-    zeros2 = np.zeros((2, 2))
-    l1 = Layer(np.array([[-0.5, 0.0], [1.0, 1.0]]), zeros2, np.array([theta, theta]))
-    l2 = Layer(np.array([[-0.5], [1.0]]), np.zeros((2, 1)), np.array([theta]))
-    net = SpikingNetwork(1, (l1, l2), aux_input_times=(t_in_ref,))
-    enc = EncodingSpec(t_in_ref, t_in_ref + 2.0 * theta, Box([a], [b]))
-    return TypedSNN(net, enc)
+    l1 = _zero_delay_layer(np.array([[-0.5, 0.0], [1.0, 1.0]]), np.full(2, theta))
+    l2 = _zero_delay_layer(np.array([[-0.5], [1.0]]), np.full(1, theta))
+    return _gadget(Box([a], [b]), t_in_ref, (l1, l2), t_in_ref + 2.0 * theta)
 
 
 def _zero_delay_layer(weights: np.ndarray, thresholds: np.ndarray) -> Layer:
@@ -90,6 +86,76 @@ def _zero_delay_layer(weights: np.ndarray, thresholds: np.ndarray) -> Layer:
     """
     weights.setflags(write=False)
     return Layer(weights, np.broadcast_to(0.0, weights.shape), thresholds)
+
+
+class _Stage(NamedTuple):
+    """An affine stage x -> Ax + B, checked against its domain and sized."""
+
+    A: np.ndarray  # C-contiguous, one row per output
+    t_in_ref: float
+    thetas: np.ndarray  # affine thresholds, one per row
+    t_out_ref: float  # affine output reference time
+    bp: float  # bound on |Ax + B|: a ReLU stage's domain is [-bp, bp]
+
+
+def _size_stage(C, s, domain: Box, t_in_ref: float, ca=None, sb=None, margin=None) -> _Stage:
+    """Check x -> C.x + s against the domain and size its thresholds.
+
+    Every gadget stage is sized here.  C is a vector with a scalar s, or a
+    matrix with one row per output and a vector s.  With d inputs and M the
+    domain's largest absolute coordinate, row j's threshold
+
+        theta_j = (1 + d*ca) * M + s[j] + sb + margin
+
+    fires it only after every input spike has arrived, and all rows share
+    the output reference time t_in_ref + (1 + d*ca)*M + sb + margin.  ca and
+    sb bound |C| and |s|, max|C| and max|s| by default.  The least gap between
+    firing and the latest arrival is min_j (s[j] + sb) + margin; where its
+    first term is zero, rounding could flip a neuron firing on a domain
+    corner to never firing, so margin defaults to 1 there and 0 otherwise.
+    Smaller ca or sb, or a negative or non-finite override, is refused.
+    """
+    A = np.atleast_2d(np.ascontiguousarray(C, dtype=float))
+    B = np.atleast_1d(np.asarray(s, dtype=float))
+    m, d = A.shape
+    if m == 0:
+        raise DimensionError("an affine gadget needs at least one output row")
+    if B.shape != (m,):
+        raise DimensionError("bias length must match matrix rows")
+    if domain.dim != d:
+        raise DimensionError("domain dimension must match matrix columns")
+    M = domain.max_abs
+    if not M > 0:
+        raise InvalidParameterError("domain must have a positive coordinate bound")
+    ca_max, sb_max = float(np.max(np.abs(A), initial=0.0)), float(np.max(np.abs(B)))
+    for name, value, least in (("ca", ca, ca_max), ("sb", sb, sb_max), ("margin", margin, 0.0)):
+        if value is not None and not least <= value < np.inf:
+            raise InvalidParameterError(f"{name} must be finite and at least {least}")
+    ca = ca_max if ca is None else ca
+    sb = sb_max if sb is None else sb
+    if margin is None:
+        margin = 1.0 if float(np.min(B + sb)) <= 1e-9 * max(1.0, sb) else 0.0
+    thetas = (1.0 + d * ca) * M + B + sb + margin
+    t_out_ref = t_in_ref + (1.0 + d * ca) * M + sb + margin
+    return _Stage(A, t_in_ref, thetas, t_out_ref, max(d * ca * M + sb, 1.0))
+
+
+def _affine_layer(st: _Stage, aux_output: bool) -> Layer:
+    """The affine layer: row j's weights are A[j] and 1 - sum(A[j]), summed in
+    C order so its bits depend neither on A's layout nor on the other rows."""
+    w = np.vstack([st.A.T, 1.0 - st.A.sum(axis=1)])
+    th = st.thetas
+    if aux_output:
+        w = np.insert(w, 1, 0.0, axis=1)
+        w[-1, 1] = 1.0
+        th = np.insert(st.thetas, 1, st.t_out_ref - st.t_in_ref)
+    return _zero_delay_layer(w, th)
+
+
+def _gadget(domain: Box, t_in_ref: float, layers: tuple, t_out_ref: float) -> TypedSNN:
+    """Layers over the domain's inputs and one auxiliary input at t_in_ref."""
+    net = SpikingNetwork(domain.dim, layers, aux_input_times=(t_in_ref,))
+    return TypedSNN(net, EncodingSpec(t_in_ref, t_out_ref, domain))
 
 
 def build_affine_gadget(
@@ -107,64 +173,14 @@ def build_affine_gadget(
     C is a vector with a scalar s, or a matrix with one row per output and
     a vector s.  Inputs are the d payload neurons plus one auxiliary neuron
     firing at t_in_ref.  Output row j has payload weights C[j] and auxiliary
-    weight 1 - sum(C[j]), summed in C order so that its bits depend neither
-    on C's memory layout nor on the other rows.  The weights sum to one, so
-    the firing time is affine with gradient C[j].  The threshold
-
-        theta_j = (1 + d*ca) * M + s[j] + sb + margin,
-
-    with M the largest absolute domain coordinate, ca an upper bound on the
-    absolute weights and sb on the absolute biases, is large enough that the
-    output fires only after every input spike has arrived.  All rows share
-    the output reference time t_in_ref + (1 + d*ca)*M + sb + margin, which
-    is what lets sibling gadgets be run in parallel.
-
-    The worst-case gap between the firing time and the latest arrival is
-    min_j (s[j] + sb) + margin.  When the first term is zero (some bias
-    equals -sb) the gadget would fire exactly at an input arrival on a
-    domain corner, where rounding could flip the neuron to never firing, so
-    margin defaults to 1 in that case and 0 otherwise.  A caller sizing
-    several sibling gadgets uniformly must pass the same margin to each.
-
-    With aux_output set, an extra output neuron fed only by the auxiliary
-    input fires at exactly the output reference time, re-exporting the
-    timing signal for a downstream gadget.  It is output 1, right after row
-    0, where a layer gadget's ReLU stage reads it.
+    weight 1 - sum(C[j]); the weights sum to one, so its firing time is
+    affine with gradient C[j].  :func:`_size_stage` checks the shapes and the
+    ca, sb and margin overrides and sizes the thresholds.  With aux_output set, output
+    1 re-exports the timing signal at the output reference time for a
+    downstream gadget; a layer gadget's ReLU stage reads it there.
     """
-    A = np.atleast_2d(np.ascontiguousarray(C, dtype=float))
-    B = np.atleast_1d(np.asarray(s, dtype=float))
-    m, d = A.shape
-    if m == 0:
-        raise DimensionError("an affine gadget needs at least one output row")
-    if B.shape != (m,):
-        raise DimensionError("bias length must match matrix rows")
-    if domain.dim != d:
-        raise DimensionError("domain dimension must match matrix columns")
-    if ca is None:
-        ca = float(np.max(np.abs(A), initial=0.0))
-    if sb is None:
-        sb = float(np.max(np.abs(B), initial=0.0))
-    M = domain.max_abs
-    if not M > 0:
-        raise InvalidParameterError("domain must have a positive coordinate bound")
-    if margin is None:
-        margin = 1.0 if float(np.min(B + sb)) <= 1e-9 * max(1.0, sb) else 0.0
-    thetas = (1.0 + d * ca) * M + B + sb + margin
-    t_out_ref = t_in_ref + (1.0 + d * ca) * M + sb + margin
-
-    w = np.vstack([A.T, 1.0 - A.sum(axis=1)])
-    th = thetas
-    if aux_output:
-        w = np.insert(w, 1, 0.0, axis=1)
-        w[d, 1] = 1.0
-        th = np.insert(thetas, 1, t_out_ref - t_in_ref)
-    net = SpikingNetwork(d, (_zero_delay_layer(w, th),), aux_input_times=(t_in_ref,))
-    return TypedSNN(net, EncodingSpec(t_in_ref, t_out_ref, domain))
-
-
-def _relu_stage_bound(d: int, ca: float, sb: float, M: float) -> float:
-    """Symmetric bound on |C.x + s| feeding a ReLU stage, floored at 1."""
-    return max(d * ca * M + sb, 1.0)
+    st = _size_stage(C, s, domain, t_in_ref, ca, sb, margin)
+    return _gadget(domain, t_in_ref, (_affine_layer(st, aux_output),), st.t_out_ref)
 
 
 def build_neuron_gadget(
@@ -179,20 +195,15 @@ def build_neuron_gadget(
     """Three-layer gadget realizing x -> max(0, C.x + s) on the domain.
 
     Chains the affine gadget (with its timing re-export) into the ReLU
-    gadget.  Has d + 6 neurons: d + 1 inputs, two affine-stage outputs, two
-    ReLU hidden neurons and one output.
+    gadget on [-bp, bp], both sized by :func:`_size_stage`.  Has d + 6
+    neurons: d + 1 inputs, two affine-stage outputs, two ReLU hidden neurons
+    and one output.
     """
-    C = np.atleast_1d(np.asarray(C, dtype=float))
-    if ca is None:
-        ca = float(np.max(np.abs(C), initial=0.0))
-    if sb is None:
-        sb = abs(float(s))
-    aff = build_affine_gadget(
-        C, s, domain, t_in_ref, ca, sb, aux_output=True, margin=margin
-    )
-    bp = _relu_stage_bound(C.size, ca, sb, domain.max_abs)
-    relu = build_relu_gadget((-bp, bp), aff.enc.t_out_ref)
-    return concatenate(relu, aff, check_range=False)
+    st = _size_stage(C, s, domain, t_in_ref, ca, sb, margin)
+    if len(st.A) != 1:
+        raise DimensionError("a neuron gadget takes one weight row")
+    aff = _gadget(domain, t_in_ref, (_affine_layer(st, True),), st.t_out_ref)
+    return concatenate(build_relu_gadget((-st.bp, st.bp), st.t_out_ref), aff, check_range=False)
 
 
 #: (m, aux_output, layer index) -> ReLU stage weights, kept while a network holds them.
@@ -230,35 +241,25 @@ def build_layer_gadget(
 ) -> TypedSNN:
     """Depth-3 gadget realizing x -> max(0, Ax + B) componentwise.
 
-    Written in closed form, it equals running one neuron gadget per output
-    row (all sized with the shared weight and bias bounds, so they agree on
-    reference times) side by side and merging their duplicated
-    constant-firing neurons.  Layer 1 is the affine gadget of (A, B) with
-    its timing re-export at position 1.  Layers 2 and 3 are the ReLU
-    gadget's 2x2 and 2x1 blocks over the payload positions [0, 2, ..., m],
-    all sharing the one timing neuron at position 1 and a single constant
-    hidden neuron; every ReLU threshold is bp + 1, with bp the stage's range
-    bound.  For a square d x d layer the result has 4d + 3 neurons.
-
-    With aux_output set, one extra output neuron re-exports the timing
-    signal at the gadget's output reference time.
+    It equals one neuron gadget per output row, all sized alike by
+    :func:`_size_stage`, run side by side with their duplicated
+    constant-firing neurons merged.  Layer 1 is the affine layer with its
+    timing re-export at position 1; layers 2 and 3 are the ReLU gadget's
+    blocks on [-bp, bp] over the payload positions [0, 2, ..., m], sharing
+    that timing neuron and one constant hidden neuron.  A square d x d layer
+    gives 4d + 3 neurons.  With aux_output set, one extra output re-exports
+    the timing signal at the output reference time.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_1d(np.asarray(B, dtype=float))
-    ca = float(np.max(np.abs(A), initial=0.0))
-    sb = float(np.max(np.abs(B), initial=0.0))
-    aff = build_affine_gadget(A, B, domain, t_in_ref, ca, sb, aux_output=True)
-    m, d = A.shape
-    theta = _relu_stage_bound(d, ca, sb, domain.max_abs) + 1.0
+    st = _size_stage(A, B, domain, t_in_ref)
+    m = len(st.A)
+    theta = st.bp + 1.0
     hidden, out = _relu_stage_weights(m, aux_output)
     layers = (
-        aff.net.layers[0],
+        _affine_layer(st, aux_output=True),
         _zero_delay_layer(hidden, np.full(m + 1, theta)),
         _zero_delay_layer(out, np.full(out.shape[1], theta)),
     )
-    net = SpikingNetwork(d, layers, aux_input_times=(t_in_ref,))
-    enc = EncodingSpec(t_in_ref, aff.enc.t_out_ref + 2.0 * theta, domain)
-    return TypedSNN(net, enc)
+    return _gadget(domain, t_in_ref, layers, st.t_out_ref + 2.0 * theta)
 
 
 def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]:
@@ -290,7 +291,7 @@ def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]
         layers.extend(g.net.layers)
         refs.append((t, g.enc.t_out_ref))
         t = g.enc.t_out_ref
-    net = SpikingNetwork(ann.input_dim, tuple(layers), aux_input_times=(0.0,))
+    snn = _gadget(domain, 0.0, tuple(layers), t)
 
     d = ann.fixed_width
     if d is not None:
@@ -300,14 +301,14 @@ def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]
     else:
         predicted_n = predicted_l = None
     report = CompileReport(
-        neuron_count=net.num_neurons,
-        layer_count=net.depth,
+        neuron_count=snn.net.num_neurons,
+        layer_count=snn.net.depth,
         predicted_neurons=predicted_n,
         predicted_layers=predicted_l,
         per_stage_refs=tuple(refs),
         per_layer_domains=tuple(domains),
     )
-    return TypedSNN(net, EncodingSpec(0.0, t, domain)), report
+    return snn, report
 
 
 def build_example_3_1(
@@ -324,9 +325,7 @@ def build_example_3_1(
         raise InvalidParameterError("theta must be positive")
     a, b = float(domain[0]), float(domain[1])
     layer = Layer(np.ones((2, 1)), np.zeros((2, 1)), np.array([theta]))
-    net = SpikingNetwork(1, (layer,), aux_input_times=(t_in_ref,))
-    enc = EncodingSpec(t_in_ref, t_in_ref + theta, Box([a], [b]))
-    return TypedSNN(net, enc)
+    return _gadget(Box([a], [b]), t_in_ref, (layer,), t_in_ref + theta)
 
 
 def build_example_3_1_ann(theta: float) -> ReluNetwork:

@@ -128,6 +128,13 @@ def test_compile_verify_round(capsys, tmp_path):
     # Width varies (1 -> 2 -> 1), so no closed-form size prediction applies.
     assert report["predicted_layers"] is None
     assert report["layers"] == 4
+    # The file carries the library's reference times and stage domains exactly.
+    _, lib = compile_ann(build_example_3_1_ann(1.0), Box.cube(-3.0, 3.0, 1))
+    assert report["per_stage_refs"] == [list(r) for r in lib.per_stage_refs]
+    assert report["per_layer_domains"] == [
+        {"lo": box.lo.tolist(), "hi": box.hi.tolist()} for box in lib.per_layer_domains
+    ]
+    assert len(lib.per_stage_refs) == 2
 
     code, out = run_cli(
         capsys,

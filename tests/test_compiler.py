@@ -1,6 +1,7 @@
 """Tests for the ReLU-to-spiking gadgets and the full compiler."""
 
 import gc
+import hashlib
 import weakref
 from functools import reduce
 
@@ -23,6 +24,7 @@ from spikec import (
     layer_certificates,
 )
 from spikec.calculus import TypedSNN, concatenate, merge_neurons, parallelize
+from spikec.serialization import dumps_canonical, snn_to_dict
 from spikec.snn_core import Layer, SpikingNetwork, finite, network_trace
 
 
@@ -193,6 +195,38 @@ def test_layer_gadget_needs_an_output_row():
         build_layer_gadget(np.zeros((0, 2)), np.zeros(0), Box.cube(-1, 1, 2), 0.0)
     with pytest.raises(DimensionError):
         build_affine_gadget(np.zeros((0, 2)), np.zeros(0), Box.cube(-1, 1, 2), 0.0)
+    # A bias of the wrong length, or a domain of the wrong dimension.
+    for C, s, dim in (([1.0, 2.0], [0.5, 0.5], 2), ([[1.0, 2.0]], [0.5], 3)):
+        for build in (build_affine_gadget, build_layer_gadget, build_neuron_gadget):
+            with pytest.raises(DimensionError):
+                build(C, s, Box.cube(-1, 1, dim), 0.0)
+    with pytest.raises(DimensionError):
+        build_neuron_gadget([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], Box.cube(-1, 1, 2), 0.0)
+
+
+def test_builders_refuse_sizes_that_break_exactness():
+    box = Box.cube(-1, 1, 2)
+    refused = [
+        lambda: build_affine_gadget([2.0, -1.0], 0.0, box, 0.0, ca=0.1),
+        lambda: build_affine_gadget([2.0, -1.0], 0.5, box, 0.0, sb=0.1),
+        lambda: build_affine_gadget([1.0, 1.0], 0.0, box, 0.0, margin=-1.5),
+        lambda: build_neuron_gadget([2.0, -1.0], 3.0, box, 0.0, ca=0.1, sb=0.1),
+    ]
+    for bad in (np.nan, np.inf, -np.inf):
+        refused += [
+            lambda bad=bad: build_affine_gadget([1.0, 1.0], 0.0, box, 0.0, ca=bad),
+            lambda bad=bad: build_affine_gadget([1.0, 1.0], 0.0, box, 0.0, sb=bad),
+            lambda bad=bad: build_neuron_gadget([1.0, 1.0], 0.0, box, 0.0, margin=bad),
+        ]
+    for build in refused:
+        with pytest.raises(InvalidParameterError):
+            build()
+    # The shared maxima themselves, a zero margin and larger sizes stay exact.
+    xs = box.grid(9)
+    for ca, sb, margin in ((2.0, 3.0, 0.0), (2.5, 4.0, 1.0)):
+        g = build_neuron_gadget([2.0, -1.0], 3.0, box, 0.0, ca=ca, sb=sb, margin=margin)
+        want = np.maximum(0.0, xs @ [2.0, -1.0] + 3.0)
+        assert np.max(np.abs(g.realize_batch(xs)[:, 0] - want)) <= 1e-9
 
 
 def test_affine_gadget_rows_do_not_depend_on_layout_or_siblings():
@@ -262,6 +296,18 @@ def test_compile_equals_its_stages_concatenated():
             assert same_bits(g.delays, w.delays)
             assert same_bits(g.thresholds, w.thresholds)
     assert depths == {1, 2, 3, 4}
+
+
+def test_compile_report_is_pinned():
+    # One digest over every compiled file and report of composition_cases().
+    h = hashlib.sha256()
+    for ann, domain in composition_cases():
+        snn, report = compile_ann(ann, domain)
+        h.update(dumps_canonical(snn_to_dict(snn)).encode())
+        h.update(repr(report.per_stage_refs).encode())
+        for box in report.per_layer_domains:
+            h.update(box.lo.tobytes() + box.hi.tobytes())
+    assert h.hexdigest() == "6aa060d079a8fc608795159cbf1ebb3556202acbe28dc6835f273259180971d8"
 
 
 def random_square_ann(rng, width, depth):
