@@ -3,7 +3,7 @@
 These networks are the source language of the spiking compiler.  Evaluation
 alternates affine maps with componentwise max(0, .); the final layer stays
 affine.  The range bound is a deliberately loose symmetric interval per
-row; the compiler chains its stage domains through it, but sizes thresholds
+row; the compiler chains its stage domains by its rule, but sizes thresholds
 from whole-layer maxima, by the rule ``compiler._size_stage`` states.
 """
 
@@ -112,6 +112,10 @@ def layer_range_bound(A: np.ndarray, B: np.ndarray, domain: Box) -> Box:
         raise DimensionError("matrix columns must match domain dimension")
     if B.shape != (A.shape[0],):
         raise DimensionError("bias length must match matrix rows")
-    m = np.max(np.abs(A), axis=1, initial=0.0)
-    r = A.shape[1] * m * domain.max_abs + np.abs(B)
+    r = _range_radius(np.max(np.abs(A), axis=1, initial=0.0), B, A.shape[1], domain.max_abs)
     return Box(-r, r)
+
+
+def _range_radius(row_max: np.ndarray, B: np.ndarray, d: int, M: float) -> np.ndarray:
+    """d * m_j * M + |b_j| per row from the row maxima m_j; the compiler chains on it too."""
+    return d * row_max * M + np.abs(B)

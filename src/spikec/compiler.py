@@ -6,14 +6,15 @@ temporal coding; a neuron gadget chains the two.  A layer gadget is one
 neuron gadget per output row run side by side with their duplicated
 constant-firing neurons merged, written down directly: an affine layer and
 two ReLU layers whose weights depend only on the width.  The full compiler
-builds a layer gadget per hidden ANN layer and a bare affine gadget for the
-final (activation-free) one, and chains their layers into one network in a
-single pass.
+makes one pass over the ANN's layers, appending a layer gadget's layers per
+hidden layer and a bare affine layer for the final one, and builds one
+network at the end.
 
 ``_size_stage`` sizes every stage from conservative symmetric range bounds,
 so that inside the declared domain every gadget neuron fires, and every
 affine-stage neuron only after all of its inputs.  That makes the firing
-times affine in the inputs and the emulation exact, not approximate.
+times affine in the inputs and the emulation exact, not approximate.  Its
+record gives the next stage's domain, and ``_stage_layers`` its layers.
 
 All gadget delays are zero: delays only shift reference times and zero keeps
 the time bookkeeping minimal.  Gadget layers hold read-only weights and one
@@ -30,7 +31,7 @@ from weakref import WeakValueDictionary
 
 import numpy as np
 
-from .ann_core import ReluNetwork, layer_range_bound
+from .ann_core import ReluNetwork, _range_radius
 from .boxes import Box
 from .calculus import TypedSNN, concatenate
 # Uncalled here, but bench/tracing.py patches these names on this module.
@@ -92,6 +93,8 @@ class _Stage(NamedTuple):
     """An affine stage x -> Ax + B, checked against its domain and sized."""
 
     A: np.ndarray  # C-contiguous, one row per output
+    M: float  # the domain's largest absolute coordinate
+    row_max: np.ndarray  # max_k |A[j, k]| per row j: the range bound's m_j
     t_in_ref: float
     thetas: np.ndarray  # affine thresholds, one per row
     t_out_ref: float  # affine output reference time
@@ -127,7 +130,8 @@ def _size_stage(C, s, domain: Box, t_in_ref: float, ca=None, sb=None, margin=Non
     M = domain.max_abs
     if not M > 0:
         raise InvalidParameterError("domain must have a positive coordinate bound")
-    ca_max, sb_max = float(np.max(np.abs(A), initial=0.0)), float(np.max(np.abs(B)))
+    row_max = np.max(np.abs(A), axis=1, initial=0.0)
+    ca_max, sb_max = float(np.max(row_max)), float(np.max(np.abs(B)))
     for name, value, least in (("ca", ca, ca_max), ("sb", sb, sb_max), ("margin", margin, 0.0)):
         if value is not None and not least <= value < np.inf:
             raise InvalidParameterError(f"{name} must be finite and at least {least}")
@@ -137,19 +141,31 @@ def _size_stage(C, s, domain: Box, t_in_ref: float, ca=None, sb=None, margin=Non
         margin = 1.0 if float(np.min(B + sb)) <= 1e-9 * max(1.0, sb) else 0.0
     thetas = (1.0 + d * ca) * M + B + sb + margin
     t_out_ref = t_in_ref + (1.0 + d * ca) * M + sb + margin
-    return _Stage(A, t_in_ref, thetas, t_out_ref, max(d * ca * M + sb, 1.0))
+    return _Stage(A, M, row_max, t_in_ref, thetas, t_out_ref, max(d * ca * M + sb, 1.0))
 
 
-def _affine_layer(st: _Stage, aux_output: bool) -> Layer:
-    """The affine layer: row j's weights are A[j] and 1 - sum(A[j]), summed in
-    C order so its bits depend neither on A's layout nor on the other rows."""
-    w = np.vstack([st.A.T, 1.0 - st.A.sum(axis=1)])
-    th = st.thetas
-    if aux_output:
-        w = np.insert(w, 1, 0.0, axis=1)
-        w[-1, 1] = 1.0
-        th = np.insert(st.thetas, 1, st.t_out_ref - st.t_in_ref)
-    return _zero_delay_layer(w, th)
+def _stage_layers(st: _Stage, relu: bool, aux_output: bool) -> tuple[tuple[Layer, ...], float]:
+    """A stage's layers and output reference time: the affine layer, giving
+    row j the weights A[j] and 1 - sum(A[j]) summed in C order (so its bits
+    depend neither on A's layout nor on the other rows), written row by row
+    into a transient and copied once; then, with relu, the ReLU gadget's two
+    layers on [-bp, bp].  Position 1 re-exports the timing signal after a
+    ReLU stage's affine layer and, with aux_output, after the stage."""
+    (m, d), aux = st.A.shape, int(relu or aux_output)
+    w, th = np.empty((m + aux, d + 1)), np.empty(m + aux)
+    w[aux:, :d], w[aux:, d], th[aux:] = st.A, 1.0 - st.A.sum(axis=1), st.thetas
+    if aux:  # row 0 goes ahead of the timing re-export
+        w[0], th[0] = w[1], th[1]
+        w[1, :d], w[1, d], th[1] = 0.0, 1.0, st.t_out_ref - st.t_in_ref
+    layers = (_zero_delay_layer(w.T.copy(), th),)
+    if not relu:
+        return layers, st.t_out_ref
+    theta = st.bp + 1.0
+    hidden, out = _relu_stage_weights(m, aux_output)
+    return layers + (
+        _zero_delay_layer(hidden, np.full(m + 1, theta)),
+        _zero_delay_layer(out, np.full(out.shape[1], theta)),
+    ), st.t_out_ref + 2.0 * theta
 
 
 def _gadget(domain: Box, t_in_ref: float, layers: tuple, t_out_ref: float) -> TypedSNN:
@@ -180,7 +196,7 @@ def build_affine_gadget(
     downstream gadget; a layer gadget's ReLU stage reads it there.
     """
     st = _size_stage(C, s, domain, t_in_ref, ca, sb, margin)
-    return _gadget(domain, t_in_ref, (_affine_layer(st, aux_output),), st.t_out_ref)
+    return _gadget(domain, t_in_ref, *_stage_layers(st, False, aux_output))
 
 
 def build_neuron_gadget(
@@ -202,7 +218,7 @@ def build_neuron_gadget(
     st = _size_stage(C, s, domain, t_in_ref, ca, sb, margin)
     if len(st.A) != 1:
         raise DimensionError("a neuron gadget takes one weight row")
-    aff = _gadget(domain, t_in_ref, (_affine_layer(st, True),), st.t_out_ref)
+    aff = _gadget(domain, t_in_ref, *_stage_layers(st, False, True))
     return concatenate(build_relu_gadget((-st.bp, st.bp), st.t_out_ref), aff, check_range=False)
 
 
@@ -251,15 +267,7 @@ def build_layer_gadget(
     the timing signal at the output reference time.
     """
     st = _size_stage(A, B, domain, t_in_ref)
-    m = len(st.A)
-    theta = st.bp + 1.0
-    hidden, out = _relu_stage_weights(m, aux_output)
-    layers = (
-        _affine_layer(st, aux_output=True),
-        _zero_delay_layer(hidden, np.full(m + 1, theta)),
-        _zero_delay_layer(out, np.full(out.shape[1], theta)),
-    )
-    return _gadget(domain, t_in_ref, layers, st.t_out_ref + 2.0 * theta)
+    return _gadget(domain, t_in_ref, *_stage_layers(st, True, aux_output))
 
 
 def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]:
@@ -281,16 +289,14 @@ def compile_ann(ann: ReluNetwork, domain: Box) -> tuple[TypedSNN, CompileReport]
     refs: list[tuple[float, float]] = []
     domains: list[Box] = [domain]
     for i, (A, B) in enumerate(ann.layers, start=1):
-        if i == ann.depth:
-            g = build_affine_gadget(A, B, domains[-1], t)
-        else:
-            g = build_layer_gadget(A, B, domains[-1], t, aux_output=True)
-            hi = layer_range_bound(A, B, domains[-1]).hi
-            hi = hi if np.max(hi) > 0 else np.ones_like(hi)
-            domains.append(Box(np.zeros_like(hi), hi))
-        layers.extend(g.net.layers)
-        refs.append((t, g.enc.t_out_ref))
-        t = g.enc.t_out_ref
+        st = _size_stage(A, B, domains[-1], t)
+        stage, t_out = _stage_layers(st, i < ann.depth, i < ann.depth)
+        layers.extend(stage)
+        refs.append((t, t_out))
+        if i < ann.depth:  # layer_range_bound's upper end, ones where it is all 0
+            hi = _range_radius(st.row_max, B, st.A.shape[1], st.M)
+            domains.append(Box(np.zeros_like(hi), hi if np.max(hi) > 0 else np.ones_like(hi)))
+        t = t_out
     snn = _gadget(domain, 0.0, tuple(layers), t)
 
     d = ann.fixed_width

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
 from functools import reduce
 
@@ -22,7 +23,9 @@ from spikec import (
     build_relu_gadget,
     compile_ann,
     layer_certificates,
+    layer_range_bound,
 )
+from spikec import compiler
 from spikec.calculus import TypedSNN, concatenate, merge_neurons, parallelize
 from spikec.serialization import dumps_canonical, snn_to_dict
 from spikec.snn_core import Layer, SpikingNetwork, finite, network_trace
@@ -308,6 +311,78 @@ def test_compile_report_is_pinned():
         for box in report.per_layer_domains:
             h.update(box.lo.tobytes() + box.hi.tobytes())
     assert h.hexdigest() == "6aa060d079a8fc608795159cbf1ebb3556202acbe28dc6835f273259180971d8"
+
+
+def range_bound_chain(ann, domain):
+    """The stage domains by the public range bound, clipped below at 0 and
+    replaced by ones where every upper end is 0."""
+    domains = [domain]
+    for A, B in ann.layers[:-1]:
+        hi = layer_range_bound(A, B, domains[-1]).hi
+        domains.append(Box(np.zeros_like(hi), hi if np.max(hi) > 0 else np.ones_like(hi)))
+    return domains
+
+
+def test_report_domains_chain_the_public_range_bound():
+    rng = np.random.default_rng(43)
+    zero_row = rng.normal(size=(4, 3)), rng.normal(size=4)
+    zero_row[0][2], zero_row[1][2] = 0.0, 0.0
+    zero_layer = np.zeros((3, 4)), np.zeros(3)
+    last = rng.normal(size=(2, 3)), rng.normal(size=2)
+    extra = ReluNetwork((zero_row, zero_layer, last))
+    cases = list(composition_cases()) + [(extra, Box.cube(-1.5, 0.5, 3))]
+    for ann, domain in cases:
+        _, report = compile_ann(ann, domain)
+        want = range_bound_chain(ann, domain)
+        assert len(report.per_layer_domains) == len(want) == ann.depth
+        for got, box in zip(report.per_layer_domains, want):
+            assert same_bits(got.lo, box.lo) and same_bits(got.hi, box.hi)
+    # The zero row's bound is 0; the all-zero layer's domain becomes ones.
+    domains = report.per_layer_domains
+    assert domains[1].hi[2] == 0.0 and np.all(domains[1].hi[[0, 1, 3]] > 0)
+    assert np.array_equal(domains[2].hi, np.ones(3))
+
+
+def test_compile_builds_each_layer_and_the_network_once(monkeypatch):
+    built = {Layer: 0, SpikingNetwork: 0}
+    for cls in built:
+        def counted(self, cls=cls, check=cls.__post_init__):
+            built[cls] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for name in ("build_layer_gadget", "build_affine_gadget", "layer_range_bound"):
+        monkeypatch.setattr(compiler, name, None, raising=False)
+    for ann, domain in composition_cases():
+        built[Layer] = built[SpikingNetwork] = 0
+        snn, _ = compile_ann(ann, domain)
+        assert built == {Layer: snn.net.depth, SpikingNetwork: 1}
+
+
+def test_a_compiled_network_keeps_only_its_own_arrays():
+    # numpy traces its data buffers in its own tracemalloc domain.  What a
+    # compile leaves there is its layers' arrays, the report's boxes and one
+    # 8-byte zero per zero-stride delay view: no stage record, row maxima or
+    # transient.  A width-64 row is 512 bytes, above the slack.  A ReLU
+    # weight pair some live network already holds is not allocated again.
+    rng = np.random.default_rng(47)
+    ann, box = random_square_ann(rng, 64, 3), Box.cube(-1.0, 1.0, 64)
+    compile_ann(random_square_ann(rng, 5, 3), Box.cube(-1.0, 1.0, 5))
+    gc.collect()
+    cached = {id(w) for w in compiler._RELU_WEIGHTS.values()}
+    data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(data)
+        snn, report = compile_ann(ann, box)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(data)
+    finally:
+        tracemalloc.stop()
+    kept = sum(diff.size_diff for diff in after.compare_to(before, "filename"))
+    arrays = {id(a): a.nbytes for l in snn.net.layers for a in (l.weights, l.thresholds)}
+    arrays = {k: n for k, n in arrays.items() if k not in cached}
+    own = sum(arrays.values()) + sum(b.lo.nbytes + b.hi.nbytes for b in report.per_layer_domains[1:])
+    assert own <= kept <= own + 8 * snn.net.depth + 64
 
 
 def random_square_ann(rng, width, depth):
