@@ -80,12 +80,13 @@ def build_relu_gadget(domain: tuple[float, float], t_in_ref: float) -> TypedSNN:
 
 
 def _zero_delay_layer(weights: np.ndarray, thresholds: np.ndarray) -> Layer:
-    """A gadget layer with read-only weights and one zero-stride zero delay.
+    """A read-only gadget layer: weights, thresholds and one zero-stride zero delay.
 
     Every gadget delay is zero, so the delays take no memory, and read-only
     weights may be shared between layers and networks.
     """
     weights.setflags(write=False)
+    thresholds.setflags(write=False)
     return Layer(weights, np.broadcast_to(0.0, weights.shape), thresholds)
 
 

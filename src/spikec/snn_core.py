@@ -83,7 +83,9 @@ class Layer:
     ``weights`` and ``delays`` have shape (fan_in, fan_out); entry [u, v] is
     the synapse from input u to output v.  Every entry is finite; delays are
     nonnegative, thresholds strictly positive.  Weights carry the
-    excitatory/inhibitory sign; a zero weight encodes an absent synapse.
+    excitatory/inhibitory sign; a zero weight encodes an absent synapse.  A
+    layer whose arrays are all read-only is frozen: the scalar path converts
+    it once, and writing to its arrays through another view is unsupported.
     """
 
     weights: np.ndarray
@@ -392,36 +394,48 @@ def oracle_firing_time(
 # ---------------------------------------------------------------------------
 
 
+def _read_layer(layer: Layer, rows) -> tuple[list, list, list | None]:
+    """Each output's threshold, weight row and delay column (None when every
+    delay is zero) as Python floats.  Refuses, with InvalidParameterError, a
+    bad threshold and a non-finite weight on one of the input rows ``rows``."""
+    thresholds = layer.thresholds.tolist()
+    if not all(0.0 < th < math.inf for th in thresholds):
+        raise InvalidParameterError("threshold must be positive and finite")
+    if not np.isfinite(layer.weights[rows]).all():
+        raise InvalidParameterError("arrival times and weights must be finite")
+    d = layer.delays
+    return thresholds, layer.weights.T.tolist(), d.T.tolist() if d.any() else None
+
+
 def _layer_tables(layer: Layer, times: Sequence[float | None]):
     """What one layer step reads, as Python floats.
 
     ``times[i]`` is input i's firing time, None for Never.  Returns
     ``(arrivals, weights, thresholds, shared)``: ``arrivals[j]`` and
     ``weights[j]`` list output j's arrival times and weights from the firing
-    inputs, in input order.  When ``shared``, every delay on a firing input's
-    row is zero, as in every compiled layer, and every ``arrivals[j]`` is one
-    list, the firing inputs' times.  A threshold that is not
-    positive and finite, a non-finite weight on a firing input's row and a
-    non-finite arrival are refused with InvalidParameterError.
+    inputs, in input order.  When ``shared``, every delay is zero, as in
+    every compiled layer, and every ``arrivals[j]`` is one list.  A layer
+    whose arrays are all read-only is read once, by :func:`_read_layer` on
+    its first step, any other at every step; a non-finite arrival is refused.
     """
-    thresholds = layer.thresholds.tolist()
-    if not all(0.0 < th < math.inf for th in thresholds):
-        raise InvalidParameterError("threshold must be positive and finite")
     fire = [i for i, t in enumerate(times) if t is not None]
-    arrivals = [times[i] for i in fire]
-    w, d = layer.weights, layer.delays
-    if len(fire) < layer.fan_in:
-        w, d = w[fire], d[fire]
-    if not np.isfinite(w).all():
-        raise InvalidParameterError("arrival times and weights must be finite")
-    shared = not d.any()
-    if shared:
-        arrivals = [arrivals] * len(thresholds)
+    rows = fire if len(fire) < layer.fan_in else slice(None)
+    w, d, th = layer.weights, layer.delays, layer.thresholds
+    if w.flags.writeable or d.flags.writeable or th.flags.writeable:
+        thresholds, weights, delays = _read_layer(layer, rows)
     else:
-        arrivals = [[t + dij for t, dij in zip(arrivals, col)] for col in d.T.tolist()]
+        if "_tables" not in layer.__dict__:
+            object.__setattr__(layer, "_tables", _read_layer(layer, slice(None)))
+        thresholds, weights, delays = layer._tables
+    if rows is fire:
+        weights = [[row[i] for i in fire] for row in weights]
+    if delays is None:
+        arrivals = [[times[i] for i in fire]] * len(thresholds)
+    else:
+        arrivals = [[times[i] + col[i] for i in fire] for col in delays]
         if not all(math.isfinite(a) for col in arrivals for a in col):
             raise InvalidParameterError("arrival times and weights must be finite")
-    return arrivals, w.T.tolist(), thresholds, shared
+    return arrivals, weights, thresholds, delays is None
 
 
 def _layer_step(

@@ -403,9 +403,10 @@ def test_compiles_of_one_width_share_read_only_relu_weights():
     assert not np.array_equal(a[0].weights, b[0].weights)
     for i in (1, 2, 4, 5):
         assert a[i].weights is b[i].weights
-        assert not a[i].weights.flags.writeable
+    for arr in (arr for l in a for arr in (l.weights, l.delays, l.thresholds)):
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            a[i].weights[0, 0] = 2.0
+            arr[(0,) * arr.ndim] = 2.0
     xs = rng.uniform(-1.0, 1.0, (300, 5))
     for snn in (first, second):
         unshared = SpikingNetwork(

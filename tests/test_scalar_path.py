@@ -1,5 +1,6 @@
 """The scalar layer step against the per-neuron reference, and the oracle's step bound."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -25,8 +26,10 @@ from spikec import (
     network_trace,
     oracle_firing_time,
     realize,
+    realize_batch,
     resolve_firing_time,
 )
+from spikec import snn_core
 from spikec.errors import SpikecError
 from spikec.snn_core import ORACLE_MAX_STEPS
 
@@ -136,6 +139,16 @@ def spikes(times):
     return tuple(NEVER if t is None else finite(t) for t in times)
 
 
+def read_only(layer):
+    """The same layer with all three arrays read-only, which the scalar path
+    reads once; a zero-stride delay stays one."""
+    arrays = [a.copy() if a.flags.writeable else a
+              for a in (layer.weights, layer.delays, layer.thresholds)]
+    for a in arrays:
+        a.setflags(write=False)
+    return Layer(*arrays)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_layer_step_equals_per_neuron_reference(data):
@@ -166,9 +179,14 @@ def test_layer_step_equals_per_neuron_reference(data):
         assert got is want
         assert outcome(layer_forward, layer, inputs) == ("raised", want)
         return
-    assert [c.contributing for c in got] == [c.contributing for c in want]
-    assert [bits(c.firing_time.time) for c in got] == [bits(c.firing_time.time) for c in want]
-    assert spike_bits(layer_forward(layer, inputs)) == [bits(c.firing_time.time) for c in want]
+    # A read-only copy of a layer that was not written to is read once, on
+    # its first step, and gives the same results at every step.
+    frozen = read_only(layer) if poison is None else layer
+    for step in (layer, frozen, frozen):
+        got = layer_certificates(step, inputs)
+        assert [c.contributing for c in got] == [c.contributing for c in want]
+        assert [bits(c.firing_time.time) for c in got] == [bits(c.firing_time.time) for c in want]
+        assert spike_bits(layer_forward(step, inputs)) == [bits(c.firing_time.time) for c in want]
 
 
 @settings(max_examples=150, deadline=None)
@@ -182,24 +200,24 @@ def test_trace_and_realize_equal_per_neuron_reference(data):
         net_layers.append(data.draw(layers(fan_in)))
         fan_in = net_layers[-1].fan_out
     net = SpikingNetwork(input_dim, tuple(net_layers), aux_input_times=aux)
+    frozen = SpikingNetwork(input_dim, tuple(map(read_only, net_layers)), aux_input_times=aux)
     inputs = spikes(data.draw(st.lists(TIMES, min_size=input_dim, max_size=input_dim)))
-
-    want = ref_trace(net, inputs)
-    got = network_trace(net, inputs)
-    assert [spike_bits(v) for v in got] == [spike_bits(v) for v in want]
-
     enc = EncodingSpec(0.0, 1.0, Box.cube(-3.0, 3.0, input_dim))
     x = data.draw(st.lists(
         st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-3.0, 3.0)),
         min_size=input_dim, max_size=input_dim,
     ))
+    want_trace = [spike_bits(v) for v in ref_trace(net, inputs)]
     want = ref_realize(net, enc, x)
-    kind, got = outcome(realize, net, enc, x)
-    if want == "never":
-        assert (kind, got) == ("raised", RealizationUndefinedError)
-    else:
-        assert kind == "ok"
-        assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
+    # The read-only copy runs twice: its tables are read on the first pass.
+    for n in (net, frozen, frozen):
+        assert [spike_bits(v) for v in network_trace(n, inputs)] == want_trace
+        kind, got = outcome(realize, n, enc, x)
+        if want == "never":
+            assert (kind, got) == ("raised", RealizationUndefinedError)
+        else:
+            assert kind == "ok"
+            assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
 
 
 def test_wide_compiled_trace_equals_batch_kernel():
@@ -225,6 +243,90 @@ def test_wide_compiled_trace_equals_batch_kernel():
         for spikes_, times in zip(trace[1:], want[1:]):
             got = np.array([np.nan if ft.time is None else ft.time for ft in spikes_])
             assert got.tobytes() == times[r].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Read-only layers: their tables are read once
+# ---------------------------------------------------------------------------
+
+
+def seeded_w4d4():
+    """A compiled width-4, depth-4 network (every layer read-only) and 200
+    points of its domain."""
+    rng = np.random.default_rng(4)
+    ann = ReluNetwork(tuple(
+        (rng.normal(0.0, 1.0, (rows, 4)), rng.normal(0.0, 1.0, rows)) for rows in (4, 4, 4, 1)
+    ))
+    typed, _ = compile_ann(ann, Box.cube(-1.0, 1.0, 4))
+    return typed, rng.uniform(-1.0, 1.0, (200, 4))
+
+
+def test_scalar_outputs_of_a_compiled_network_are_pinned():
+    # realize, network_trace and every layer's certificates, bit for bit.
+    typed, xs = seeded_w4d4()
+    net, enc = typed.net, typed.enc
+    h = hashlib.sha256()
+    for x in xs:
+        h.update(realize(net, enc, x).tobytes())
+        trace = network_trace(net, tuple(finite(enc.t_in_ref + v) for v in x))
+        for layer, inputs in zip(net.layers, trace):
+            h.update(b"".join(bits(ft.time) or b"N" for ft in inputs))
+            for c in layer_certificates(layer, inputs):
+                h.update(repr(sorted(c.contributing)).encode())
+                h.update(bits(c.firing_time.time) or b"N")
+        h.update(b"".join(bits(ft.time) or b"N" for ft in trace[-1]))
+    assert h.hexdigest() == "e104f7e24bb671a6b68a72674419cada7ffabe3d294d629bac06e32f5053c79d"
+
+
+def test_read_only_layers_are_read_once(monkeypatch):
+    reads = []
+    read = snn_core._read_layer
+    monkeypatch.setattr(snn_core, "_read_layer",
+                        lambda layer, rows: reads.append(layer) or read(layer, rows))
+    typed, xs = seeded_w4d4()
+    net, enc = typed.net, typed.enc
+    for x in xs[:5]:
+        realize(net, enc, x)
+        network_trace(net, tuple(finite(enc.t_in_ref + v) for v in x))
+    assert len(reads) == net.depth
+    assert {id(layer) for layer in reads} == {id(layer) for layer in net.layers}
+    # One writeable array is enough for a layer to be read at every step.
+    first = net.layers[0]
+    thawed = Layer(first.weights, first.delays, first.thresholds.copy())
+    inputs = tuple(map(finite, [enc.t_in_ref + v for v in xs[0]] + list(net.aux_input_times)))
+    reads.clear()
+    for _ in range(3):
+        assert layer_forward(thawed, inputs) == layer_forward(first, inputs)
+    assert len(reads) == 3 and all(layer is thawed for layer in reads)
+
+
+def test_a_writeable_layer_is_read_at_every_step():
+    layer = Layer(np.array([[1.0], [1.0]]), np.zeros((2, 1)), np.array([1.0]))
+    inputs = (finite(0.0), finite(0.5))
+    assert layer_forward(layer, inputs) == (finite(0.75),)
+    layer.weights[1, 0] = 3.0
+    layer.delays[0, 0] = 0.25
+    layer.thresholds[0] = 2.0
+    want = resolve_firing_time([(0.25, 1.0), (0.5, 3.0)], 2.0).firing_time
+    assert layer_forward(layer, inputs) == (want,) == (finite(0.9375),)
+
+
+def test_the_batch_path_reads_no_tables(monkeypatch):
+    # The tables of a width-64 layer hold about 4,000 Python floats; a
+    # compile and a batch run keep none of them.
+    def refuse(layer, rows):
+        raise AssertionError("the batch path read a layer's tables")
+
+    monkeypatch.setattr(snn_core, "_read_layer", refuse)
+    rng = np.random.default_rng(64)
+    width, scale = 64, 64 ** -0.5
+    ann = ReluNetwork(tuple(
+        (rng.normal(0.0, scale, (rows, width)), rng.normal(0.0, scale, rows))
+        for rows in (width, width, 1)
+    ))
+    typed, _ = compile_ann(ann, Box.cube(-1.0, 1.0, width))
+    realize_batch(typed.net, typed.enc, rng.uniform(-1.0, 1.0, (16, width)))
+    assert not any("_tables" in vars(layer) for layer in typed.net.layers)
 
 
 # ---------------------------------------------------------------------------
